@@ -208,9 +208,9 @@ class CollisionBatcher {
     std::int64_t collision_adopt_to = -1;
     std::int64_t collision_fade = -1;
     /// RNG draws the advance() consumed, audited by replay
-    /// (check::draws_between) — the window-scoped accounting the
-    /// time-parallel engine's checked builds use to certify that a
-    /// speculative window consumed only its own jump-offset substream.
+    /// (check::draws_between): a checked build asserts that a single
+    /// advance's stream consumption stays within the replay cap, i.e.
+    /// that nothing touched the generator behind the audit's back.
     /// Filled in SIM_CHECKED builds only; −1 otherwise (the audit replays
     /// the stream, so it is never free).
     std::int64_t draws = -1;

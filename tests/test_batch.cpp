@@ -498,9 +498,9 @@ TEST(BatchEngineRuntime, BitIdenticalStatsAtAnyThreadCount) {
     return static_cast<double>(sim.total_light());
   };
   divpp::runtime::BatchRunner serial(1);
-  divpp::runtime::BatchRunner parallel_runner(4);
+  divpp::runtime::BatchRunner threaded(4);
   const auto a = serial.run_stats(8, 1234, replica);
-  const auto b = parallel_runner.run_stats(8, 1234, replica);
+  const auto b = threaded.run_stats(8, 1234, replica);
   EXPECT_EQ(a.stats.mean(), b.stats.mean());
   EXPECT_EQ(a.stats.variance(), b.stats.variance());
   EXPECT_EQ(a.stats.count(), b.stats.count());

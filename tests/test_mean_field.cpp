@@ -1,10 +1,13 @@
 // Tests for the mean-field (fluid-limit) ODE of the Diversification
 // protocol: the Eq. (7) equilibrium is the fixed point, mass is
-// conserved, and trajectories converge to it from generic starts.
+// conserved, trajectories converge to it from generic starts, and the
+// integer count prediction keeps the population size exact.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/equilibrium.h"
@@ -128,6 +131,46 @@ TEST(MeanFieldOde, HeavierColourDominatesAtEquilibrium) {
   const double support0 = state.dark[0] + state.light[0];
   const double support1 = state.dark[1] + state.light[1];
   EXPECT_NEAR(support1 / support0, 8.0, 0.05);
+}
+
+// predict_counts_after: the integer fluid-limit prediction preserves the
+// population exactly and never goes negative, from the adversarial start
+// (everyone dark on colour 0 but one agent per other colour) where the
+// drift is largest.
+TEST(MeanFieldOde, PredictCountsAfterConservesThePopulation) {
+  const MeanFieldOde ode(WeightMap({4.0, 1.0, 1.0, 2.0}));
+  const std::vector<std::int64_t> dark = {12'342, 1, 1, 1};
+  const std::vector<std::int64_t> light = {0, 0, 0, 0};
+  for (const std::int64_t horizon : {0LL, 100LL, 10'000LL, 1'000'000LL}) {
+    const MeanFieldOde::PredictedCounts p =
+        ode.predict_counts_after(dark, light, horizon);
+    ASSERT_EQ(p.dark.size(), 4u);
+    ASSERT_EQ(p.light.size(), 4u);
+    std::int64_t total = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_GE(p.dark[i], 0);
+      EXPECT_GE(p.light[i], 0);
+      total += p.dark[i] + p.light[i];
+    }
+    EXPECT_EQ(total, 12'345) << "horizon " << horizon;
+  }
+  // A zero window is the identity.
+  const MeanFieldOde::PredictedCounts same =
+      ode.predict_counts_after(dark, light, 0);
+  EXPECT_EQ(same.dark, dark);
+  EXPECT_EQ(same.light, light);
+}
+
+TEST(MeanFieldOde, PredictCountsAfterValidation) {
+  const MeanFieldOde ode(WeightMap({1.0, 2.0}));
+  const std::vector<std::int64_t> two = {5, 5};
+  const std::vector<std::int64_t> three = {5, 5, 0};
+  EXPECT_THROW((void)ode.predict_counts_after(two, two, -1),
+               std::invalid_argument);
+  EXPECT_THROW((void)ode.predict_counts_after(three, two, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)ode.predict_counts_after(two, three, 10),
+               std::invalid_argument);
 }
 
 }  // namespace

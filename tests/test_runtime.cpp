@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "rng/distributions.h"
@@ -74,81 +73,6 @@ TEST(ParallelFor, RethrowsAFailingIteration) {
       std::runtime_error);
   // The failing iteration does not cancel the rest of the batch.
   EXPECT_EQ(runs.load(), 64);
-}
-
-TEST(TaskGroup, WaitBlocksUntilEverySubmittedTaskRan) {
-  ThreadPool pool(4);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<int> runs{0};
-  for (int i = 0; i < 100; ++i)
-    group.submit([&runs] { runs.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(runs.load(), 100);
-  EXPECT_EQ(group.outstanding(), 0);
-}
-
-TEST(TaskGroup, IsReusableAcrossRounds) {
-  ThreadPool pool(2);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<int> runs{0};
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 8; ++i)
-      group.submit([&runs] { runs.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(runs.load(), (round + 1) * 8);
-  }
-}
-
-TEST(TaskGroup, CancelSkipsTasksThatHaveNotStarted) {
-  // A single-thread pool serialises the queue: the first task blocks the
-  // worker while cancel() is flipped, so the 99 queued behind it must be
-  // skipped (check-before-start contract).  wait() still drains — every
-  // submitted task runs its completion accounting even when skipped.
-  ThreadPool pool(1);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> runs{0};
-  group.submit([&] {
-    runs.fetch_add(1);
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 99; ++i)
-    group.submit([&runs] { runs.fetch_add(1); });
-  while (!started.load()) std::this_thread::yield();
-  group.cancel();
-  EXPECT_TRUE(group.cancelled());
-  release.store(true);
-  group.wait();
-  EXPECT_EQ(runs.load(), 1);
-  group.reset();
-  EXPECT_FALSE(group.cancelled());
-  group.submit([&runs] { runs.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(runs.load(), 2);
-}
-
-TEST(TaskGroup, DestructorCancelsAndDrainsOutstandingWork) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> runs{0};
-  {
-    divpp::runtime::TaskGroup group(pool);
-    group.submit([&] {
-      runs.fetch_add(1);
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    });
-    for (int i = 0; i < 50; ++i)
-      group.submit([&runs] { runs.fetch_add(1); });
-    while (!started.load()) std::this_thread::yield();
-    release.store(true);
-    // ~TaskGroup cancels, then blocks until the queue drains — the
-    // skipped tasks must not dangle references into this scope.
-  }
-  EXPECT_GE(runs.load(), 1);
 }
 
 TEST(ReplicaRng, StreamsAreTheDocumentedJumpOffsets) {
