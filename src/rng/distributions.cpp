@@ -1,7 +1,6 @@
 #include "rng/distributions.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -40,22 +39,8 @@ bool bernoulli(Xoshiro256& gen, double p) {
   return uniform01(gen) < p;
 }
 
-std::int64_t geometric_failures(Xoshiro256& gen, double p) {
-  if (!(p > 0.0) || p > 1.0)
-    throw std::invalid_argument("geometric_failures: p must be in (0, 1]");
-  if (p == 1.0) return 0;  // deterministic: no uniform consumed
-  // Inversion: floor(log(U) / log(1-p)) with U in (0, 1].
-  double u = 1.0 - uniform01(gen);  // in (0, 1]
-  const double denom = std::log1p(-p);
-  const double value = std::floor(std::log(u) / denom);
-  // Overflow guard: for p ≈ 0 the quotient exceeds the int64 range (the
-  // smallest representable U bounds |log U| by ~37, so value can reach
-  // ~37/p, or ±inf/NaN when log1p underflows to -0); clamp to the
-  // documented ceiling instead of invoking UB in the float→int
-  // conversion.  Negated comparison so NaN also lands on the ceiling.
-  if (!(value < static_cast<double>(kGeometricFailuresCeiling)))
-    return kGeometricFailuresCeiling;
-  return static_cast<std::int64_t>(value);
+void detail::throw_geometric_domain() {
+  throw std::invalid_argument("geometric_failures: p must be in (0, 1]");
 }
 
 std::pair<std::int64_t, std::int64_t> two_distinct(Xoshiro256& gen,

@@ -10,6 +10,7 @@
 /// C++ Core Guidelines' advice to avoid unsigned arithmetic), so these
 /// helpers take and return std::int64_t.
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -42,6 +43,11 @@ namespace divpp::rng {
 inline constexpr std::int64_t kGeometricFailuresCeiling =
     std::int64_t{9'000'000'000'000'000'000};  // 9.0e18 < 2^63 - 1
 
+namespace detail {
+/// geometric_failures' out-of-line throw for p outside (0, 1].
+[[noreturn]] void throw_geometric_domain();
+}  // namespace detail
+
 /// Number of failures before the first success in iid Bernoulli(p) trials
 /// (i.e. a geometric variable supported on {0, 1, 2, ...}).
 /// Sampled by inversion so a single uniform suffices.  \pre p in (0, 1].
@@ -50,7 +56,26 @@ inline constexpr std::int64_t kGeometricFailuresCeiling =
 /// sequences aligned across engines that special-case certain steps);
 /// when p is so small that inversion exceeds the int64 range the result
 /// is clamped to kGeometricFailuresCeiling (see its comment).
-[[nodiscard]] std::int64_t geometric_failures(Xoshiro256& gen, double p);
+/// Inline: it is the jump chain's per-transition skip.
+[[nodiscard]] inline std::int64_t geometric_failures(Xoshiro256& gen,
+                                                     double p) {
+  if (!(p > 0.0) || p > 1.0) detail::throw_geometric_domain();
+  if (p == 1.0) return 0;  // deterministic: no uniform consumed
+  // Inversion: floor(log(U) / log(1-p)) with U in (0, 1].
+  const double u = 1.0 - uniform01(gen);  // in (0, 1]
+  const double denom = std::log1p(-p);
+  const double value = std::log(u) / denom;
+  // Overflow guard: for p ≈ 0 the quotient exceeds the int64 range (the
+  // smallest representable U bounds |log U| by ~37, so value can reach
+  // ~37/p, or ±inf/NaN when log1p underflows to -0); clamp to the
+  // documented ceiling instead of invoking UB in the float→int
+  // conversion.  Negated comparison so NaN also lands on the ceiling.
+  if (!(value < static_cast<double>(kGeometricFailuresCeiling)))
+    return kGeometricFailuresCeiling;
+  // log(U) <= 0 and log1p(-p) < 0, so the quotient is >= 0 (U = 1 gives
+  // -0.0): truncation toward zero is the floor.
+  return static_cast<std::int64_t>(value);
+}
 
 /// Uniformly random pair of *distinct* indices from {0, ..., n-1}.
 /// \pre n >= 2.

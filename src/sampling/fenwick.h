@@ -19,13 +19,23 @@
 /// which stay as the reference implementations the distributional tests
 /// pin these trees against.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "check/invariant.h"
 #include "rng/xoshiro.h"
 
 namespace divpp::sampling {
+
+namespace detail {
+
+[[nodiscard]] constexpr std::int64_t lowbit(std::int64_t i) noexcept {
+  return i & -i;
+}
+
+}  // namespace detail
 
 /// Fenwick tree over non-negative integer counts with O(log k) point
 /// update, prefix sum, and weighted category draw.
@@ -137,6 +147,10 @@ class FenwickPropensities {
 
  private:
   void rebuild() noexcept;
+  /// set()'s cold path, once per rebuild period: the checked-build drift
+  /// bound on the running total (before `pending_delta` is applied),
+  /// then rebuild().
+  void periodic_rebuild(double pending_delta) noexcept;
 
   std::vector<double> tree_;  // 1-based Fenwick nodes
   std::vector<double> leaf_;  // exact values, drift-free
@@ -145,32 +159,89 @@ class FenwickPropensities {
   std::int64_t updates_until_rebuild_ = 0;
 };
 
-/// Segment tree reporting the minimum of a dynamic integer array —
-/// O(log k) point update, O(1) global minimum.  Backs the count chain's
-/// min-dark sustainability observable.
-class MinTree {
- public:
-  MinTree() = default;
-  explicit MinTree(std::span<const std::int64_t> values);
+// ---- hot-path definitions ---------------------------------------------------
+// Inline so the jump chain's per-transition point updates and draws
+// compile into its loop; the O(k) builders stay in fenwick.cpp.
 
-  void assign(std::span<const std::int64_t> values);
-  void push_back(std::int64_t value);
+inline void FenwickCounts::add(std::int64_t i, std::int64_t delta) noexcept {
+  SIM_ASSERT(i >= 0 && i < static_cast<std::int64_t>(leaf_.size()));
+  leaf_[static_cast<std::size_t>(i)] += delta;
+  // Counts are agent tallies: they may never go negative, and the
+  // running total mirrors the leaves exactly (integers don't drift).
+  SIM_ASSERT(leaf_[static_cast<std::size_t>(i)] >= 0);
+  total_ += delta;
+  SIM_ASSERT(total_ >= 0);
+  for (std::int64_t j = i + 1; j <= cap_; j += detail::lowbit(j))
+    tree_[static_cast<std::size_t>(j)] += delta;
+}
 
-  /// Overwrites values[i].  O(log k).
-  void set(std::int64_t i, std::int64_t value) noexcept;
+inline std::int64_t FenwickCounts::find_excluding(std::int64_t target,
+                                                  std::int64_t excluded)
+    const noexcept {
+  // Branch-free descent over the padded tree: each level computes its
+  // decision with mask arithmetic, so random targets cost no branch
+  // mispredicts.  Zero padding keeps the mapping exact (a zero node can
+  // never satisfy `node > target`... it is skipped by `node <= target`
+  // only when the remaining mass lies further right, which the invariant
+  // target < sum(remaining range) guarantees).
+  const std::int64_t* const tree = tree_.data();
+  std::int64_t pos = 0;  // 0-based count of leaves strictly left of cursor
+  for (std::int64_t bit = cap_; bit > 0; bit >>= 1) {
+    const std::int64_t next = pos + bit;
+    // tree[next] covers 0-based leaves [pos, next); subtract the excluded
+    // unit when its leaf falls inside (unsigned trick handles excluded<0).
+    const std::int64_t node =
+        tree[next] -
+        static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(excluded - pos) <
+            static_cast<std::uint64_t>(bit));
+    const std::int64_t take = -static_cast<std::int64_t>(node <= target);
+    target -= node & take;
+    pos += bit & take;
+  }
+  return std::min(pos, static_cast<std::int64_t>(leaf_.size()) - 1);
+}
 
-  [[nodiscard]] std::int64_t get(std::int64_t i) const noexcept;
+inline void FenwickPropensities::set(std::int64_t i, double value) noexcept {
+  SIM_ASSERT(i >= 0 && i < static_cast<std::int64_t>(leaf_.size()));
+  SIM_ASSERT(value >= 0.0);
+  const double delta = value - leaf_[static_cast<std::size_t>(i)];
+  leaf_[static_cast<std::size_t>(i)] = value;
+  if (--updates_until_rebuild_ <= 0) {
+    periodic_rebuild(delta);
+    return;
+  }
+  total_ += delta;
+  const auto n = static_cast<std::int64_t>(leaf_.size());
+  for (std::int64_t j = i + 1; j <= n; j += detail::lowbit(j))
+    tree_[static_cast<std::size_t>(j)] += delta;
+}
 
-  /// min over all values.  \pre size() >= 1.  O(1).
-  [[nodiscard]] std::int64_t min() const noexcept { return tree_[1]; }
-
-  [[nodiscard]] std::int64_t size() const noexcept { return size_; }
-
- private:
-  std::vector<std::int64_t> tree_;  // 2*cap_ slots, leaves at [cap_, 2cap_)
-  std::int64_t size_ = 0;
-  std::int64_t cap_ = 0;  // power-of-two leaf capacity
-};
+inline std::int64_t FenwickPropensities::find(double target) const noexcept {
+  const auto n = static_cast<std::int64_t>(leaf_.size());
+  std::int64_t pos = 0;
+  for (std::int64_t bit = top_bit_; bit > 0; bit >>= 1) {
+    const std::int64_t next = pos + bit;
+    if (next <= n) {
+      const double node = tree_[static_cast<std::size_t>(next)];
+      if (node <= target) {
+        target -= node;
+        pos = next;
+      }
+    }
+  }
+  pos = std::min(pos, n - 1);
+  // Rounding in the descent can land on a zero-weight leaf; snap to the
+  // nearest category that actually carries mass.
+  if (leaf_[static_cast<std::size_t>(pos)] > 0.0) return pos;
+  for (std::int64_t step = 1; step < n; ++step) {
+    if (pos + step < n && leaf_[static_cast<std::size_t>(pos + step)] > 0.0)
+      return pos + step;
+    if (pos - step >= 0 && leaf_[static_cast<std::size_t>(pos - step)] > 0.0)
+      return pos - step;
+  }
+  return pos;
+}
 
 }  // namespace divpp::sampling
 

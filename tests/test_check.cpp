@@ -237,10 +237,11 @@ TEST(RngStreamAudit, TaggedEnginesDrawDeterministically) {
 
 // ---- golden-stream pins ---------------------------------------------------
 
+template <std::size_t K>
 struct GoldenCase {
   const char* name;
-  std::int64_t dark[8];
-  std::int64_t light[8];
+  std::int64_t dark[K];
+  std::int64_t light[K];
   std::int64_t time;
   std::uint64_t state[4];
 };
@@ -250,7 +251,7 @@ struct GoldenCase {
 // 0x5eed + n with T = 4n, tagged seed 0x7a99ed at n = 20000.  A build
 // with SIM_CHECKED=OFF must reproduce every field bit-for-bit — the
 // check layer is only allowed to observe, never to draw.
-constexpr GoldenCase kUntaggedGolden[] = {
+constexpr GoldenCase<8> kUntaggedGolden[] = {
     {"untagged_step_n20000", {16063, 3, 2, 1, 2, 1, 1, 5},
      {3922, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xce02b725490c27feULL, 0xc4f3c9c84d2a4a47ULL, 0x4477db49d3c591ceULL,
@@ -285,7 +286,7 @@ constexpr GoldenCase kUntaggedGolden[] = {
       0x69d7780c71f413d2ULL}},
 };
 
-constexpr GoldenCase kTaggedGolden[] = {
+constexpr GoldenCase<8> kTaggedGolden[] = {
     {"tagged_step", {16091, 1, 2, 1, 1, 1, 1, 1},
      {3901, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xdb58fca8fc6e8bbbULL, 0x953563dd3ba588beULL, 0x272e96b65d905446ULL,
@@ -304,9 +305,42 @@ constexpr GoldenCase kTaggedGolden[] = {
       0x70f06a3997475183ULL}},
 };
 
-void expect_golden(const GoldenCase& golden, const CountSimulation& sim,
+// Beyond the linear-scan cutoff of pick_class (k > 16) with a
+// non-power-of-two palette, so class draws take the padded Fenwick
+// descent.  Captured from commit c079cf0, before the jump-chain inlining:
+// weights below, adversarial start, n = 5000, T = 4n, seed
+// 0x5eed + n + k.
+constexpr GoldenCase<20> kWidePaletteGolden[] = {
+    {"k20_step_n5000",
+     {3990, 2, 1, 3, 1, 1, 2, 1, 2, 5, 1, 2, 2, 2, 4, 1, 1, 1, 1, 2},
+     {975, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     20000,
+     {0xdaa6c8739b26217dULL, 0x1895acc35e8afbe3ULL, 0xcb467e5d95789693ULL,
+      0xa150105420c3f046ULL}},
+    {"k20_jump_n5000",
+     {3964, 3, 2, 3, 1, 1, 1, 2, 2, 2, 2, 2, 3, 2, 1, 1, 1, 3, 2, 1},
+     {1001, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     20000,
+     {0xd3f2944282437324ULL, 0xfc3213dadc6664b3ULL, 0x9427f0226f94e09bULL,
+      0x701a2b1c2891ebfdULL}},
+    {"k20_batch_n5000",
+     {3975, 3, 1, 1, 1, 1, 1, 1, 1, 6, 4, 1, 1, 1, 1, 2, 2, 5, 2, 1},
+     {989, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     20000,
+     {0x3e4be38feccd035aULL, 0xa4866763c9238fb3ULL, 0xa310da75740d0a12ULL,
+      0x92cfe68a9815e5d4ULL}},
+    {"k20_auto_n5000",
+     {3964, 3, 2, 3, 1, 1, 1, 2, 2, 2, 2, 2, 3, 2, 1, 1, 1, 3, 2, 1},
+     {1001, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     20000,
+     {0xd3f2944282437324ULL, 0xfc3213dadc6664b3ULL, 0x9427f0226f94e09bULL,
+      0x701a2b1c2891ebfdULL}},
+};
+
+template <std::size_t K>
+void expect_golden(const GoldenCase<K>& golden, const CountSimulation& sim,
                    const Xoshiro256& gen) {
-  for (std::int64_t i = 0; i < 8; ++i) {
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(K); ++i) {
     EXPECT_EQ(sim.dark(i), golden.dark[i]) << golden.name << " dark " << i;
     EXPECT_EQ(sim.light(i), golden.light[i]) << golden.name << " light " << i;
   }
@@ -329,6 +363,22 @@ TEST(GoldenStream, UntaggedEnginesReproducePreInstrumentationRuns) {
       ASSERT_LT(next, std::size(kUntaggedGolden));
       expect_golden(kUntaggedGolden[next++], sim, gen);
     }
+  }
+}
+
+TEST(GoldenStream, WidePaletteEnginesReproduceCapturedRuns) {
+  const WeightMap weights({4.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 5.0, 2.0,
+                           1.0, 7.0, 1.0, 2.0, 3.0, 1.0, 1.0, 6.0, 2.0, 1.0});
+  const Engine engines[] = {Engine::kStep, Engine::kJump, Engine::kBatch,
+                            Engine::kAuto};
+  constexpr std::int64_t kN = 5'000;
+  std::size_t next = 0;
+  for (const Engine e : engines) {
+    auto sim = CountSimulation::adversarial_start(weights, kN);
+    Xoshiro256 gen(0x5eedULL + static_cast<std::uint64_t>(kN) + 20);
+    sim.advance_with(e, 4 * kN, gen);
+    ASSERT_LT(next, std::size(kWidePaletteGolden));
+    expect_golden(kWidePaletteGolden[next++], sim, gen);
   }
 }
 

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "core/equilibrium.h"
 #include "core/weights.h"
@@ -19,6 +21,8 @@
 
 namespace {
 
+using divpp::core::AgentState;
+using divpp::core::ColorId;
 using divpp::core::CountSimulation;
 using divpp::core::Engine;
 using divpp::core::TaggedCountSimulation;
@@ -289,6 +293,71 @@ TEST(CountSimulation, NewColorSpreadsAfterInjection) {
                        static_cast<double>(sim.n());
   EXPECT_NEAR(share, 0.5, 0.12);
   EXPECT_GE(sim.min_dark(), 1);
+}
+
+TEST(CountSimulation, MinDarkMatchesBruteForceAfterEveryMutator) {
+  // min_dark() is computed at query time; this pins it against a
+  // brute-force minimum after every kind of structural or dynamic
+  // change, so a future cached min structure that misses an update
+  // fails here.
+  const auto expect_min = [](const CountSimulation& s, const char* after) {
+    std::int64_t brute = s.dark(0);
+    for (ColorId i = 1; i < s.num_colors(); ++i)
+      brute = std::min(brute, s.dark(i));
+    EXPECT_EQ(s.min_dark(), brute) << "after " << after;
+  };
+  const auto run_windows = [&](CountSimulation& s, Xoshiro256& gen) {
+    for (const Engine e : {Engine::kJump, Engine::kBatch, Engine::kAuto}) {
+      for (int w = 0; w < 4; ++w) {
+        s.advance_with(e, s.time() + 300, gen);
+        expect_min(s, divpp::core::engine_name(e));
+      }
+    }
+  };
+  const WeightMap weights({1.0, 2.0, 3.0, 1.0, 5.0});
+  auto sim = CountSimulation::adversarial_start(weights, 200);
+  Xoshiro256 gen(31);
+  expect_min(sim, "construction");
+  run_windows(sim, gen);
+
+  sim.add_agents(1, 3, /*dark_shade=*/false);
+  expect_min(sim, "add_agents (light)");
+  sim.add_agents(3, 2, /*dark_shade=*/true);
+  expect_min(sim, "add_agents (dark)");
+  sim.add_color(2.0, 1);
+  expect_min(sim, "add_color");
+  EXPECT_EQ(sim.min_dark(), 1);  // the new colour joins with one dark agent
+  sim.transfer(0, 5, 1, 0);
+  expect_min(sim, "transfer");
+  run_windows(sim, gen);
+
+  const auto resumed =
+      divpp::core::resume_run_from_checkpoint(
+          divpp::core::to_checkpoint_v2(sim, gen));
+  expect_min(resumed.sim, "checkpoint-v2 restore");
+  EXPECT_EQ(resumed.sim.min_dark(), sim.min_dark());
+
+  // The tagged decomposition holds the tagged agent out of the counts
+  // while it runs; min_dark() must follow the held-out counts too.
+  const auto heaviest = static_cast<ColorId>(std::distance(
+      sim.dark_counts().begin(),
+      std::max_element(sim.dark_counts().begin(), sim.dark_counts().end())));
+  TaggedCountSimulation tagged(sim, heaviest, /*tagged_dark=*/true);
+  std::int64_t changes = 0;
+  for (const Engine e : {Engine::kJump, Engine::kBatch, Engine::kAuto}) {
+    tagged.run_changes(e, tagged.time() + 4'000, gen,
+                       [&](std::int64_t, AgentState) {
+                         ++changes;
+                         expect_min(tagged.counts(), "tagged hold-out change");
+                       });
+    expect_min(tagged.counts(), "tagged window");
+  }
+  EXPECT_GT(changes, 0);
+
+  sim.recolor_all(4, 0);
+  expect_min(sim, "recolor_all");
+  EXPECT_EQ(sim.min_dark(), 0);  // colour 4 has no agents left
+  run_windows(sim, gen);
 }
 
 // ---- tagged-agent simulation ----------------------------------------------

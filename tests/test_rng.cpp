@@ -208,6 +208,35 @@ TEST(GeometricFailures, SmallestRepresentablePStaysFinite) {
   EXPECT_EQ(v, divpp::rng::kGeometricFailuresCeiling);
 }
 
+TEST(GeometricFailures, MatchesFloorInversionDrawForDraw) {
+  // Bit-level pin of the inversion formula: fed a copy of the same
+  // generator, every draw must equal floor(log(1 − U) / log1p(−p)) and
+  // consume exactly one uniform.  The last generator starts with state
+  // word 1 at 0, where xoshiro256** outputs 0: uniform01 returns 0, so
+  // U = 1 and the quotient is −0.0, which must come out as 0 failures.
+  const Xoshiro256 starts[] = {Xoshiro256(21), Xoshiro256(22),
+                               Xoshiro256(0xdecaf),
+                               Xoshiro256::from_state({1, 0, 1, 1})};
+  for (const double p : {1e-9, 1e-3, 0.3, 0.999999}) {
+    int unit_u = 0;
+    for (const Xoshiro256& start : starts) {
+      Xoshiro256 gen = start;
+      for (int i = 0; i < 2'000; ++i) {
+        Xoshiro256 mirror = gen;
+        const double u = divpp::rng::uniform01(mirror);
+        if (u == 0.0) ++unit_u;
+        const double expected =
+            std::floor(std::log(1.0 - u) / std::log1p(-p));
+        ASSERT_EQ(divpp::rng::geometric_failures(gen, p),
+                  static_cast<std::int64_t>(expected))
+            << "p = " << p << " draw " << i << " u = " << u;
+        ASSERT_EQ(gen, mirror);
+      }
+    }
+    EXPECT_GE(unit_u, 1) << "p = " << p;  // the U = 1 edge was exercised
+  }
+}
+
 TEST(GeometricFailures, MeanMatchesClosedForm) {
   Xoshiro256 gen(12);
   const double p = 0.2;
