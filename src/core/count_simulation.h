@@ -281,11 +281,8 @@ class CountSimulation {
 
  private:
   friend class TaggedCountSimulation;
-  /// Checkpoint restore (core/checkpoint.h) re-seats the clock.
-  friend CountSimulation count_simulation_from_checkpoint(
-      const std::string& text);
-  /// The v2 checkpoint layer's accessor (defined in checkpoint.cpp): it
-  /// additionally round-trips the auto-engine EWMA, the transition
+  /// The checkpoint layer's accessor (defined in checkpoint.cpp): it
+  /// round-trips the clock, the auto-engine EWMA, the transition
   /// counter, and the pending-event schedule.
   friend struct CheckpointAccess;
 

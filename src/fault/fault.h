@@ -11,8 +11,9 @@
 /// check/counting_generator.h).  Because triggers are functions of the
 /// run's own deterministic coordinates — never of wall clock or thread
 /// timing — a crash schedule replays identically across runs, thread
-/// counts, and machines, which is what makes the self-healing runtime
-/// (runtime/durable_runner.h) testable for bit-identity.
+/// counts, and machines, which is what makes the self-healing sweep
+/// runtime (runtime/sweep_runner.h, on the windowed driver of
+/// runtime/durable_runner.h) testable for bit-identity.
 ///
 /// Faults fire only at checkpoint boundaries, split around the
 /// checkpoint write:
@@ -194,8 +195,9 @@ class FaultSchedule {
 /// The process-wide schedule parsed from the DIVPP_FAULT_SPEC
 /// environment variable at first use (empty when unset) — how the CI
 /// fault-injection job reaches runs it does not construct.  Explicitly
-/// passed schedules always win; only runtime/durable_runner.h's
-/// DurableBatchRunner falls back to this.
+/// passed schedules always win; a SweepRunner (and its supervised
+/// workers) built without one falls back to this, and bench/e21 reads
+/// it directly.  run_windows never does.
 [[nodiscard]] const FaultSchedule& global();
 
 }  // namespace divpp::fault

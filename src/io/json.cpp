@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -49,6 +50,11 @@ int hex_digit(char c) {
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
+}
+
+[[noreturn]] void record_error(std::string_view context,
+                               const std::string& what) {
+  throw std::invalid_argument(std::string(context) + ": " + what);
 }
 
 }  // namespace
@@ -107,6 +113,49 @@ std::string json_unquote(std::string_view quoted) {
     }
   }
   return out;
+}
+
+std::string hex_double(double value) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof buffer, "%a", value);
+  return buffer;
+}
+
+double parse_hex_double(const std::string& token, std::string_view context) {
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (end == nullptr || end == token.c_str() || *end != '\0')
+    record_error(context, "bad double '" + token + "'");
+  return value;
+}
+
+void skip_spaces(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+}
+
+std::string scan_token(std::string_view line, std::size_t& pos,
+                       std::string_view context) {
+  skip_spaces(line, pos);
+  const std::size_t begin = pos;
+  while (pos < line.size() && line[pos] != ' ') ++pos;
+  if (begin == pos) record_error(context, "truncated record");
+  return std::string(line.substr(begin, pos - begin));
+}
+
+std::string scan_quoted(std::string_view line, std::size_t& pos,
+                        std::string_view context) {
+  skip_spaces(line, pos);
+  if (pos >= line.size() || line[pos] != '"')
+    record_error(context, "expected a quoted string");
+  std::size_t end = pos + 1;
+  while (end < line.size() && line[end] != '"') {
+    if (line[end] == '\\') ++end;  // skip the escaped character
+    ++end;
+  }
+  if (end >= line.size()) record_error(context, "unterminated quoted string");
+  const std::string_view raw = line.substr(pos, end - pos + 1);
+  pos = end + 1;
+  return json_unquote(raw);
 }
 
 Json& Json::set_raw(const std::string& key, std::string rendered) {

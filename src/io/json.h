@@ -7,10 +7,13 @@
 /// Benches print one JSON summary line (timings, thread counts, headline
 /// statistics) alongside their human-readable tables so sweeps can be
 /// harvested by scripts without scraping table text.  This is a writer
-/// plus one inverse — json_unquote, the single piece of parsing divpp
-/// does, used by the sweep manifest (runtime/sweep_runner.cpp) to read
-/// back the scenario names and error strings it quoted itself.
+/// plus one inverse — json_unquote — and the few token helpers of the
+/// two space-separated text records divpp reads back: the sweep
+/// manifest (runtime/sweep_runner.cpp) and the supervisor's worker
+/// protocol (runtime/supervisor.cpp).  Both quote names and error
+/// strings with json_quote and write bit-exact doubles as hexfloats.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -61,6 +64,36 @@ class Json {
 /// \throws std::invalid_argument on anything malformed (missing quotes,
 /// dangling escape, unknown escape, raw control character).
 [[nodiscard]] std::string json_unquote(std::string_view quoted);
+
+// ---- space-separated text records ------------------------------------
+//
+// Every reader below throws std::invalid_argument whose message starts
+// with `context` (e.g. "sweep manifest", "supervisor"), so an error
+// names the record it came from.
+
+/// C99 hexfloat rendering (%a): bit-exact through any conforming strtod.
+[[nodiscard]] std::string hex_double(double value);
+
+/// Parses a whole token as a double (hexfloat or decimal).
+/// \throws std::invalid_argument unless strtod consumes all of it.
+[[nodiscard]] double parse_hex_double(const std::string& token,
+                                      std::string_view context);
+
+/// Advances `pos` past any spaces.
+void skip_spaces(std::string_view line, std::size_t& pos);
+
+/// Skips spaces, then returns the next space-delimited token and
+/// advances `pos` past it.  \throws std::invalid_argument at end of line.
+[[nodiscard]] std::string scan_token(std::string_view line, std::size_t& pos,
+                                     std::string_view context);
+
+/// Skips spaces, then reads one json_quote'd token (advancing `pos` past
+/// it) and returns the unescaped bytes.
+/// \throws std::invalid_argument when no complete quoted string starts
+/// there, or when json_unquote rejects it.
+[[nodiscard]] std::string scan_quoted(std::string_view line,
+                                      std::size_t& pos,
+                                      std::string_view context);
 
 }  // namespace divpp::io
 

@@ -32,22 +32,10 @@ using Clock = std::chrono::steady_clock;
 /// grows ~25 bytes per colour.
 constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 
+constexpr std::string_view kWire = "supervisor";
+
 [[noreturn]] void fail(const std::string& what) {
-  throw std::invalid_argument("supervisor: " + what);
-}
-
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-double parse_hex_double(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || end == text.c_str() || *end != '\0')
-    fail("bad double '" + text + "'");
-  return value;
+  throw std::invalid_argument(std::string(kWire) + ": " + what);
 }
 
 std::int64_t parse_i64(const std::string& text) {
@@ -73,36 +61,6 @@ std::uint64_t parse_u64(const std::string& text) {
   if (used == 0 || used != text.size() || text[0] == '-')
     fail("bad unsigned integer '" + text + "'");
   return value;
-}
-
-void skip_spaces(const std::string& line, std::size_t& pos) {
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-}
-
-/// Next space-delimited token (throws on end of payload).
-std::string scan_token(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ') ++pos;
-  if (begin == pos) fail("truncated payload");
-  return line.substr(begin, pos - begin);
-}
-
-/// Reads one json_quote'd token starting at line[pos] (advancing pos
-/// past it) and returns the unescaped bytes — the manifest idiom.
-std::string scan_quoted(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  if (pos >= line.size() || line[pos] != '"')
-    fail("expected a quoted string");
-  std::size_t end = pos + 1;
-  while (end < line.size() && line[end] != '"') {
-    if (line[end] == '\\') ++end;  // skip the escaped character
-    ++end;
-  }
-  if (end >= line.size()) fail("unterminated quoted string");
-  const std::string_view raw(line.data() + pos, end - pos + 1);
-  pos = end + 1;
-  return io::json_unquote(raw);
 }
 
 const char* start_name(ScenarioSpec::Start start) {
@@ -221,8 +179,8 @@ std::string encode_result(std::size_t index, const ScenarioReport& report) {
   return "res " + std::to_string(index) + " " +
          scenario_outcome_name(report.outcome) + " " +
          std::to_string(report.attempts) + " " +
-         std::to_string(report.resumes) + " " + hex_double(report.value) +
-         " " + io::json_quote(report.error);
+         std::to_string(report.resumes) + " " +
+         io::hex_double(report.value) + " " + io::json_quote(report.error);
 }
 
 /// The forked worker's main loop: read a command frame, run the
@@ -414,57 +372,46 @@ std::string encode_run(std::size_t index, bool resuming,
   // run would be a different simulation.
   for (const double weight : weights) {
     out.append(" ");
-    out.append(hex_double(weight));
+    out.append(io::hex_double(weight));
   }
   return out;
 }
 
 RunCommand decode_run(const std::string& payload) {
   std::size_t pos = 0;
-  if (scan_token(payload, pos) != "run") fail("not a run command");
+  const auto token = [&] { return io::scan_token(payload, pos, kWire); };
+  if (token() != "run") fail("not a run command");
   RunCommand command;
-  command.index = static_cast<std::size_t>(parse_u64(scan_token(payload, pos)));
-  const std::string resuming = scan_token(payload, pos);
+  command.index = static_cast<std::size_t>(parse_u64(token()));
+  const std::string resuming = token();
   if (resuming != "0" && resuming != "1")
     fail("bad resuming flag '" + resuming + "'");
   command.resuming = resuming == "1";
-  command.spec.n = parse_i64(scan_token(payload, pos));
-  command.spec.start = parse_start(scan_token(payload, pos));
-  command.spec.engine = core::parse_engine(scan_token(payload, pos));
-  command.spec.target_time = parse_i64(scan_token(payload, pos));
-  command.spec.seed = parse_u64(scan_token(payload, pos));
-  command.spec.name = scan_quoted(payload, pos);
-  const std::int64_t colors = parse_i64(scan_token(payload, pos));
+  command.spec.n = parse_i64(token());
+  command.spec.start = parse_start(token());
+  command.spec.engine = core::parse_engine(token());
+  command.spec.target_time = parse_i64(token());
+  command.spec.seed = parse_u64(token());
+  command.spec.name = io::scan_quoted(payload, pos, kWire);
+  const std::int64_t colors = parse_i64(token());
   if (colors < 1) fail("bad colour count");
   std::vector<double> weights;
   weights.reserve(static_cast<std::size_t>(colors));
   for (std::int64_t i = 0; i < colors; ++i)
-    weights.push_back(parse_hex_double(scan_token(payload, pos)));
+    weights.push_back(io::parse_hex_double(token(), kWire));
   command.spec.weights = core::WeightMap(std::move(weights));
-  skip_spaces(payload, pos);
+  io::skip_spaces(payload, pos);
   if (pos != payload.size()) fail("trailing junk in run command");
   return command;
 }
 
 }  // namespace wire
 
-SweepSupervisor::SweepSupervisor(SweepOptions options)
-    : options_(std::move(options)) {
-  if (options_.sweep_dir.empty())
-    fail("needs a sweep_dir — respawn-and-resume requires checkpoints "
-         "that survive process death");
-  if (options_.supervision.workers < 0) fail("negative worker count");
-  if (options_.supervision.heartbeat_period_seconds < 0 ||
-      options_.supervision.hang_timeout_seconds < 0)
-    fail("negative supervision timing");
-  if (options_.supervision.crash_loop_k < 1) fail("crash_loop_k must be >= 1");
-}
-
-void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
-                          const SweepStatistic& statistic, bool resuming,
-                          std::vector<ScenarioReport>& reports,
-                          const std::vector<char>& finished) {
-  if (!statistic) fail("empty statistic");
+void run_supervised(const std::vector<ScenarioSpec>& specs,
+                    const SweepOptions& options,
+                    const SweepStatistic& statistic, bool resuming,
+                    std::vector<ScenarioReport>& reports,
+                    const std::vector<char>& finished) {
   const std::size_t count = specs.size();
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < count; ++i)
@@ -481,15 +428,15 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
   ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
 
   const int pool_size =
-      options_.supervision.workers > 0 ? options_.supervision.workers
+      options.supervision.workers > 0 ? options.supervision.workers
                                        : ThreadPool::hardware_threads();
-  const double hang_timeout = options_.supervision.hang_timeout_seconds;
-  const double deadline = options_.scenario_deadline_seconds;
+  const double hang_timeout = options.supervision.hang_timeout_seconds;
+  const double deadline = options.scenario_deadline_seconds;
   // Grace before the preemptive deadline kill: a healthy worker's
   // cooperative deadline check (at its next boundary) should win.
   const double deadline_grace = std::max(
-      0.25, 2.0 * options_.supervision.heartbeat_period_seconds);
-  const int crash_loop_k = options_.supervision.crash_loop_k;
+      0.25, 2.0 * options.supervision.heartbeat_period_seconds);
+  const int crash_loop_k = options.supervision.crash_loop_k;
 
   std::vector<WorkerProc> workers;
   std::vector<int> kills(count, 0);  // successive worker deaths per scenario
@@ -516,17 +463,17 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
   const auto record_result = [&](WorkerProc& worker,
                                  const std::string& payload) {
     std::size_t pos = 0;
-    (void)scan_token(payload, pos);  // "res", already matched
-    const std::size_t index =
-        static_cast<std::size_t>(parse_u64(scan_token(payload, pos)));
+    const auto token = [&] { return io::scan_token(payload, pos, kWire); };
+    (void)token();  // "res", already matched
+    const std::size_t index = static_cast<std::size_t>(parse_u64(token()));
     if (static_cast<std::ptrdiff_t>(index) != worker.scenario)
       fail("result for scenario " + std::to_string(index) +
            " from a worker running " + std::to_string(worker.scenario));
-    ScenarioOutcome outcome = parse_outcome(scan_token(payload, pos));
-    const int attempts = static_cast<int>(parse_i64(scan_token(payload, pos)));
-    const int resumes = static_cast<int>(parse_i64(scan_token(payload, pos)));
-    const double value = parse_hex_double(scan_token(payload, pos));
-    const std::string error = scan_quoted(payload, pos);
+    ScenarioOutcome outcome = parse_outcome(token());
+    const int attempts = static_cast<int>(parse_i64(token()));
+    const int resumes = static_cast<int>(parse_i64(token()));
+    const double value = io::parse_hex_double(token(), kWire);
+    const std::string error = io::scan_quoted(payload, pos, kWire);
 
     ScenarioReport& report = reports[index];
     report.name = specs[index].name;
@@ -600,7 +547,7 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
       const std::size_t want = std::min<std::size_t>(
           static_cast<std::size_t>(pool_size), outstanding);
       while (workers.size() < want)
-        workers.push_back(spawn_worker(options_, statistic, workers));
+        workers.push_back(spawn_worker(options, statistic, workers));
 
       // Dispatch queued scenarios to idle workers.  A failed dispatch
       // means the worker died between scenarios; handle it and retry.

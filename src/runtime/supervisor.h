@@ -5,14 +5,15 @@
 /// Crash containment: process-isolated sweep workers with watchdog
 /// supervision (PR 9).
 ///
-/// The PR 8 SweepRunner heals from *cooperative* faults — exceptions,
-/// simulated crashes, torn checkpoints — but every scenario shares one
-/// address space, so a real SIGSEGV, abort, OOM, or a wedged
+/// The in-process SweepRunner heals from *cooperative* faults —
+/// exceptions, simulated crashes, torn checkpoints — but every scenario
+/// shares one address space, so a real SIGSEGV, abort, OOM, or a wedged
 /// (non-terminating) scenario loses or stalls the whole sweep.
-/// SweepSupervisor closes that gap the way production simulation farms
-/// do (OMNeT++'s parsim runs partitions as separate OS processes): it
-/// forks a pool of worker *processes*, dispatches scenarios to them
-/// over pipes, and supervises:
+/// run_supervised, the transport SweepRunner switches to when
+/// SweepOptions::supervision.enabled is set, closes that gap the way
+/// production simulation farms do (OMNeT++'s parsim runs partitions as
+/// separate OS processes): it forks a pool of worker *processes*,
+/// dispatches scenarios to them over pipes, and supervises:
 ///
 ///  - **Death detection.** Each worker is reaped with waitpid and its
 ///    end classified: signal (which one) vs exit code.  A worker dying
@@ -108,31 +109,23 @@ struct RunCommand {
 
 }  // namespace wire
 
-/// The process-level supervisor: see the file comment.  Constructed
-/// from the same SweepOptions as the SweepRunner that hosts it
-/// (SweepOptions::supervision carries the knobs); normally reached via
-/// SweepRunner with supervision.enabled rather than directly.
-class SweepSupervisor {
- public:
-  /// \throws std::invalid_argument on bad options (no sweep_dir,
-  /// negative timings, crash_loop_k < 1).
-  explicit SweepSupervisor(SweepOptions options);
-
-  /// Runs every scenario with finished[i] == 0 on forked workers and
-  /// fills its slot of \p reports (slots of finished scenarios are left
-  /// untouched).  \p resuming makes first dispatches resume from their
-  /// durable checkpoints (the manifest-level resume); redispatches
-  /// after a worker death always resume.  Blocks until every scenario
-  /// settled (ok / recovered / quarantined / rejected) — a supervised
-  /// sweep never drains.
-  void run(const std::vector<ScenarioSpec>& specs,
-           const SweepStatistic& statistic, bool resuming,
-           std::vector<ScenarioReport>& reports,
-           const std::vector<char>& finished);
-
- private:
-  SweepOptions options_;
-};
+/// The process-level supervisor (see the file comment), reached
+/// through SweepRunner with supervision.enabled.  Runs every scenario
+/// with finished[i] == 0 on forked workers and fills its slot of
+/// \p reports (slots of finished scenarios are left untouched).
+/// \p resuming makes first dispatches resume from their durable
+/// checkpoints (the manifest-level resume); redispatches after a worker
+/// death always resume.  Blocks until every scenario settled (ok /
+/// recovered / quarantined / rejected) — a supervised sweep never
+/// drains.
+/// \pre \p options passed the SweepRunner constructor's checks (a
+/// sweep_dir, non-negative workers and timings, crash_loop_k >= 1) and
+/// \p statistic is non-empty.
+void run_supervised(const std::vector<ScenarioSpec>& specs,
+                    const SweepOptions& options,
+                    const SweepStatistic& statistic, bool resuming,
+                    std::vector<ScenarioReport>& reports,
+                    const std::vector<char>& finished);
 
 }  // namespace divpp::runtime
 

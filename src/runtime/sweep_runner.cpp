@@ -2,16 +2,19 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <thread>
 #include <utility>
 
+#include "core/checkpoint.h"
 #include "fault/durable_file.h"
 #include "io/json.h"
 #include "rng/xoshiro.h"
@@ -24,21 +27,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Hexfloat rendering for manifest values: exact (bit-for-bit) double
-/// round-trips, unlike any decimal format with fewer than 17 digits.
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-double parse_hex_double(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || end == text.c_str() || *end != '\0')
-    throw std::invalid_argument("sweep manifest: bad value '" + text + "'");
-  return value;
-}
+constexpr std::string_view kManifest = "sweep manifest";
 
 int parse_int(const std::string& text) {
   std::size_t used = 0;
@@ -51,37 +40,6 @@ int parse_int(const std::string& text) {
   if (used == 0 || used != text.size() || value < 0)
     throw std::invalid_argument("sweep manifest: bad count '" + text + "'");
   return value;
-}
-
-/// Reads one json_quote'd token starting at line[pos] (advancing pos
-/// past it) and returns the unescaped bytes.
-std::string scan_quoted(const std::string& line, std::size_t& pos) {
-  if (pos >= line.size() || line[pos] != '"')
-    throw std::invalid_argument("sweep manifest: expected a quoted string");
-  std::size_t end = pos + 1;
-  while (end < line.size() && line[end] != '"') {
-    if (line[end] == '\\') ++end;  // skip the escaped character
-    ++end;
-  }
-  if (end >= line.size())
-    throw std::invalid_argument("sweep manifest: unterminated quoted string");
-  const std::string_view raw(line.data() + pos, end - pos + 1);
-  pos = end + 1;
-  return io::json_unquote(raw);
-}
-
-void skip_spaces(const std::string& line, std::size_t& pos) {
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-}
-
-/// Next space-delimited token (throws on end of line).
-std::string scan_token(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ') ++pos;
-  if (begin == pos)
-    throw std::invalid_argument("sweep manifest: truncated line");
-  return line.substr(begin, pos - begin);
 }
 
 /// Manifest status word.  kDrained (and never-started) persists as
@@ -113,6 +71,72 @@ void ensure_directory(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
   throw std::runtime_error("SweepRunner: cannot create sweep_dir '" + path +
                            "': " + std::strerror(errno));
+}
+
+/// What the recovery loop produced.
+struct RecoveryResult {
+  bool completed = false;  ///< false == quarantined (retries exhausted)
+  int attempts = 1;        ///< total attempts, clean == 1
+  int resumes = 0;         ///< attempts that restored from a checkpoint
+  std::string error;       ///< last failure message (empty when clean)
+};
+
+/// Runs `attempt` until it returns normally, at most
+/// 1 + options.max_retries times, with capped exponential backoff between
+/// attempts.  The callback receives the recovered state — the latest
+/// *valid* checkpoint, or nullopt when there is none (the attempt must
+/// then start from scratch).  Retries always recover, and so does the
+/// first attempt when `resume_first` is set (a drained scenario
+/// continuing where it parked).  Recovery reads the file at `path` when
+/// one is set, else `latest`, the in-memory copy the run's on_checkpoint
+/// hook keeps; a torn or corrupt checkpoint is detected and skipped,
+/// never loaded.  \throws std::invalid_argument on negative retry or
+/// backoff options; attempt failures become the RecoveryResult.
+RecoveryResult run_with_recovery(
+    const SweepOptions& options, const std::string& path, bool resume_first,
+    const std::string& latest,
+    const std::function<void(std::optional<core::ResumedRun>)>& attempt) {
+  if (options.max_retries < 0)
+    throw std::invalid_argument("execute_scenario: negative max_retries");
+  if (options.backoff_initial_ms < 0 || options.backoff_cap_ms < 0)
+    throw std::invalid_argument("execute_scenario: negative backoff");
+  RecoveryResult result;
+  for (int att = 0;; ++att) {
+    result.attempts = att + 1;
+    try {
+      std::optional<core::ResumedRun> resumed;
+      if (att > 0 || resume_first) {
+        std::string blob = latest;
+        if (!path.empty()) {
+          try {
+            blob = fault::read_durable(path);
+          } catch (const fault::DurableFileError&) {
+            blob.clear();
+          }
+        }
+        if (!blob.empty()) {
+          try {
+            resumed = core::resume_run_from_checkpoint(blob);
+          } catch (const std::invalid_argument&) {
+          }
+        }
+      }
+      if (resumed.has_value()) ++result.resumes;
+      attempt(std::move(resumed));
+      result.completed = true;
+      return result;
+    } catch (const std::exception& error) {
+      result.error = error.what();
+      if (att >= options.max_retries) return result;
+      const double delay_ms = std::min(
+          options.backoff_cap_ms,
+          options.backoff_initial_ms *
+              static_cast<double>(std::int64_t{1} << std::min(att, 40)));
+      if (delay_ms > 0)
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(delay_ms));
+    }
+  }
 }
 
 }  // namespace
@@ -156,6 +180,9 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
                       ScenarioReport& report) {
   report.name = spec.name;
   const std::string path = scenario_checkpoint_path(options.sweep_dir, index);
+  // A fresh run owns no checkpoint yet: a file at `path` is an earlier
+  // sweep's, and a retry must never resume from it.
+  if (!resuming && !path.empty()) std::remove(path.c_str());
   try {
     // Shared immutables first: admission is the only failure that is a
     // *decision* (budget) rather than an accident, hence its own outcome.
@@ -168,18 +195,12 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
       return;
     }
 
-    RecoveryPolicy policy;
-    policy.max_retries = options.max_retries;
-    policy.backoff_initial_ms = options.backoff_initial_ms;
-    policy.backoff_cap_ms = options.backoff_cap_ms;
-    policy.checkpoint_path = path;
-    policy.resume_first_attempt = resuming && !path.empty();
-
     std::string latest;  // in-memory fallback checkpoint
     bool parked = false;
     double value = 0.0;
     const RecoveryResult recovery = run_with_recovery(
-        policy, latest, [&](std::optional<core::ResumedRun> resumed) {
+        options, path, /*resume_first=*/resuming, latest,
+        [&](std::optional<core::ResumedRun> resumed) {
           core::CountSimulation sim = resumed.has_value()
                                           ? std::move(resumed->sim)
                                           : initial_state(spec);
@@ -331,8 +352,7 @@ SweepResult SweepRunner::execute(const std::vector<ScenarioSpec>& specs,
     // Process-isolated path: fan unfinished scenarios out to forked
     // worker processes.  pool_ is never submitted to, so this process
     // stays single-threaded — a precondition for safe fork().
-    SweepSupervisor supervisor(options_);
-    supervisor.run(specs, statistic, resuming, reports, finished);
+    run_supervised(specs, options_, statistic, resuming, reports, finished);
   } else {
     run_in_process(specs, statistic, faults, resuming, reports, finished);
   }
@@ -430,6 +450,10 @@ void SweepRunner::run_in_process(const std::vector<ScenarioSpec>& specs,
       // admitted).  attempts == 0 records that no attempt ran.
       reports[i].outcome = ScenarioOutcome::kDrained;
       reports[i].attempts = 0;
+      // Nor did execute_scenario clear its path, so on a fresh run a
+      // file there is an earlier sweep's: resume() must start it afresh.
+      if (!resuming && !options_.sweep_dir.empty())
+        std::remove(scenario_checkpoint_path(options_.sweep_dir, i).c_str());
     }
   }
 }
@@ -454,8 +478,9 @@ void SweepRunner::write_manifest(
     text += "scenario " + std::to_string(i) + " " +
             manifest_status(report.outcome) + " " +
             std::to_string(report.attempts) + " " +
-            std::to_string(report.resumes) + " " + hex_double(report.value) +
-            " " + io::json_quote(report.name) + " " +
+            std::to_string(report.resumes) + " " +
+            io::hex_double(report.value) + " " +
+            io::json_quote(report.name) + " " +
             io::json_quote(report.error) + "\n";
   }
   text += "end\n";
@@ -489,19 +514,17 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const std::string& line = lines[i + 1];
     std::size_t pos = 0;
-    if (scan_token(line, pos) != "scenario" ||
-        scan_token(line, pos) != std::to_string(i))
+    const auto token = [&] { return io::scan_token(line, pos, kManifest); };
+    if (token() != "scenario" || token() != std::to_string(i))
       throw std::invalid_argument("sweep manifest: bad scenario line " +
                                   std::to_string(i + 2));
-    const std::string status = scan_token(line, pos);
-    const int attempts = parse_int(scan_token(line, pos));
-    const int resumes = parse_int(scan_token(line, pos));
-    const double value = parse_hex_double(scan_token(line, pos));
-    skip_spaces(line, pos);
-    const std::string name = scan_quoted(line, pos);
-    skip_spaces(line, pos);
-    const std::string error = scan_quoted(line, pos);
-    skip_spaces(line, pos);
+    const std::string status = token();
+    const int attempts = parse_int(token());
+    const int resumes = parse_int(token());
+    const double value = io::parse_hex_double(token(), kManifest);
+    const std::string name = io::scan_quoted(line, pos, kManifest);
+    const std::string error = io::scan_quoted(line, pos, kManifest);
+    io::skip_spaces(line, pos);
     if (pos != line.size())
       throw std::invalid_argument("sweep manifest: trailing junk on line " +
                                   std::to_string(i + 2));

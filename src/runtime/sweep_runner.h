@@ -5,6 +5,9 @@
 /// Resilient scenario sweeps: M heterogeneous scenarios (mixed n, k, w,
 /// engines, targets) multiplexed over one ThreadPool, with per-scenario
 /// fault isolation, shared SamplerContexts, and graceful drain (PR 8).
+/// SweepRunner is the library's one self-healing runner: retries,
+/// backoff, resume-from-checkpoint and quarantine live here, on top of
+/// the windowed driver of runtime/durable_runner.h.
 ///
 /// The sweep contract, piece by piece:
 ///
@@ -14,14 +17,15 @@
 ///    ten thousand.  A scenario whose context would blow the cache's
 ///    memory budget is *rejected* (kRejected, structured error) — never
 ///    silently admitted over budget, never a reason to fail the sweep.
-///  - **Isolation.** Each scenario runs under the same recovery loop as
-///    DurableBatchRunner replicas (run_with_recovery): periodic durable
-///    checkpoints, cooperative deadline, capped-backoff retries from the
-///    latest valid checkpoint, quarantine after max_retries.  A crash,
-///    injected fault, or invariant failure in one scenario quarantines
-///    *that scenario only*; the rest of the sweep is unaffected, and the
-///    completed scenarios' results are bit-identical to a fault-free
-///    sweep (recovery restores exact state or replays the same stream).
+///  - **Isolation.** Each scenario runs under its own recovery loop:
+///    periodic durable checkpoints, cooperative deadline, capped-backoff
+///    retries from the latest valid checkpoint (never from a file an
+///    earlier sweep left in sweep_dir), quarantine after max_retries.
+///    A crash, injected fault, or invariant failure in one scenario
+///    quarantines *that scenario only*; the rest of the sweep is
+///    unaffected, and the completed scenarios' results are bit-identical
+///    to a fault-free sweep (recovery restores exact state or replays
+///    the same stream).
 ///  - **Backpressure.** Scenarios are admitted through a bounded queue
 ///    (admission_capacity); submission blocks while the queue is full,
 ///    so a million-scenario sweep holds O(threads) scenarios in flight,
@@ -191,12 +195,16 @@ using SweepStatistic = std::function<double(const core::CountSimulation&)>;
 [[nodiscard]] std::string scenario_result_json(const ScenarioSpec& spec,
                                                double value);
 
-/// Runs ONE scenario through the shared recovery machinery (context
-/// admission, run_with_recovery, durable checkpoints, quarantine) and
-/// fills \p report.  This is the single code path behind both the
-/// in-process SweepRunner workers and the forked supervisor workers —
-/// sharing it is what makes supervised results bit-identical by
-/// construction.  Never throws; failures land in the report.
+/// Runs ONE scenario through the recovery machinery (context admission,
+/// retries from durable checkpoints, quarantine) and fills \p report.
+/// This is the single code path behind both the in-process SweepRunner
+/// workers and the forked supervisor workers — sharing it is what makes
+/// supervised results bit-identical by construction.  Never throws;
+/// failures (including negative max_retries or backoff) land in the
+/// report.
+/// \param resuming true: the first attempt continues from the
+///        scenario's checkpoint file.  false: a fresh run, which first
+///        removes any file an earlier sweep left at that path.
 /// \param should_stop optional cooperative stop (drain) checked after
 ///        each persisted boundary; a stopped scenario parks as kDrained.
 /// \param on_boundary optional hook run at every checkpoint boundary —

@@ -1,5 +1,6 @@
 // Tests for the reporting substrate: table rendering (text, markdown,
-// CSV), the JSON summary writer, and the bench argument parser.
+// CSV), the JSON summary writer with its token readers, and the bench
+// argument parser.
 
 #include <gtest/gtest.h>
 
@@ -227,6 +228,46 @@ TEST(JsonTest, UnquoteRejectsMalformedInput) {
       << "multi-byte code points are out of contract";
   EXPECT_THROW((void)json_unquote("\"raw\nnewline\""), std::invalid_argument);
   EXPECT_THROW((void)json_unquote("\"inner\"quote\""), std::invalid_argument);
+}
+
+TEST(JsonTest, RecordTokensScanInOrder) {
+  namespace io = divpp::io;
+  const double third = 1.0 / 3.0;
+  const std::string line = "run  7 " + io::hex_double(third) + " " +
+                           io::json_quote("a \"name\"") + "  ";
+  std::size_t pos = 0;
+  EXPECT_EQ(io::scan_token(line, pos, "ctx"), "run");
+  EXPECT_EQ(io::scan_token(line, pos, "ctx"), "7");
+  EXPECT_EQ(io::parse_hex_double(io::scan_token(line, pos, "ctx"), "ctx"),
+            third);  // bit-exact
+  EXPECT_EQ(io::scan_quoted(line, pos, "ctx"), "a \"name\"");
+  io::skip_spaces(line, pos);
+  EXPECT_EQ(pos, line.size());
+}
+
+TEST(JsonTest, RecordTokenErrorsNameTheirRecord) {
+  namespace io = divpp::io;
+  const auto message = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "no throw";
+  };
+  std::size_t pos = 0;
+  EXPECT_EQ(message([&] { (void)io::scan_token("   ", pos, "ctx"); }),
+            "ctx: truncated record");
+  pos = 0;
+  EXPECT_EQ(message([&] { (void)io::scan_quoted("bare", pos, "ctx"); }),
+            "ctx: expected a quoted string");
+  pos = 0;
+  EXPECT_EQ(message([&] { (void)io::scan_quoted(" \"open", pos, "ctx"); }),
+            "ctx: unterminated quoted string");
+  EXPECT_EQ(message([] { (void)io::parse_hex_double("0x1p+0z", "ctx"); }),
+            "ctx: bad double '0x1p+0z'");
+  EXPECT_EQ(message([] { (void)io::parse_hex_double("", "ctx"); }),
+            "ctx: bad double ''");
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // multiplexing with values bit-identical to dedicated runs, context
 // admission rejection under a memory budget, per-scenario fault
 // isolation (a crashing scenario quarantines alone and everyone else's
-// JSON is byte-identical to the fault-free sweep), graceful drain with
-// manifest resume, checkpoint cleanup, and backpressure.
+// JSON is byte-identical to the fault-free sweep), self-healing (random
+// crashes at any thread count, torn checkpoints, deadline overruns,
+// quarantine after max_retries), never resuming a checkpoint an earlier
+// sweep left behind, graceful drain with manifest resume, checkpoint
+// cleanup, and backpressure.
 
 #include <gtest/gtest.h>
 
@@ -309,6 +312,193 @@ TEST(Sweep, CleanupOnSuccessKeepsTheQuarantinedCheckpoint) {
                                          std::to_string(i) + ".ckpt"))
         << "completed scenario " << i << " must be cleaned up";
   EXPECT_TRUE(std::filesystem::exists(dir + "/sweep.manifest"));
+}
+
+TEST(Sweep, RepeatedFailuresQuarantineAndKeepTheCheckpoint) {
+  const std::vector<ScenarioSpec> specs{scenario("doomed", 200, 21, 3000),
+                                        scenario("fine", 200, 22, 3000)};
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_doomed";
+  std::filesystem::remove_all(dir);
+  // One injected exception per window: attempts 1, 2, 3 die at windows
+  // 0, 1, 2 (each resume starts past the previous window) and the
+  // scenario runs out of retries.
+  std::vector<FaultSpec> faults;
+  for (std::int64_t w = 0; w < 3; ++w) {
+    FaultSpec spec;
+    spec.kind = FaultKind::kException;
+    spec.at_window = w;
+    spec.replica = 0;
+    faults.push_back(spec);
+  }
+  const FaultSchedule schedule(faults);
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  options.max_retries = 2;
+  options.faults = &schedule;
+  const SweepResult result =
+      SweepRunner(options).run(specs, min_dark_statistic);
+
+  EXPECT_EQ(result.quarantined, 1);
+  EXPECT_EQ(result.completed, 1);
+  const ScenarioReport& doomed = result.scenarios[0];
+  EXPECT_EQ(doomed.outcome, ScenarioOutcome::kQuarantined);
+  EXPECT_EQ(doomed.attempts, 3);
+  EXPECT_EQ(doomed.resumes, 2);
+  EXPECT_NE(doomed.error.find("injected exception"), std::string::npos)
+      << doomed.error;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/scenario_0.ckpt"))
+      << "quarantine must keep the post-mortem checkpoint";
+  EXPECT_EQ(result.scenarios[1].outcome, ScenarioOutcome::kOk);
+  EXPECT_EQ(result.scenarios[1].value, dedicated_value(specs[1]));
+}
+
+TEST(Sweep, TornCheckpointFallsBackToFromScratchRestart) {
+  const std::vector<ScenarioSpec> specs{scenario("torn", 200, 11, 3000)};
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_torn";
+  std::filesystem::remove_all(dir);
+  // Tear the very checkpoint the crash leaves behind: the retry must
+  // detect the torn file and restart from scratch, never load it.
+  FaultSpec torn;
+  torn.kind = FaultKind::kTornWrite;
+  torn.at_window = 2;
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  crash.at_window = 2;
+  const FaultSchedule schedule({torn, crash});
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  options.faults = &schedule;
+  const SweepResult result =
+      SweepRunner(options).run(specs, min_dark_statistic);
+
+  ASSERT_EQ(result.completed, 1);
+  const ScenarioReport& report = result.scenarios[0];
+  EXPECT_EQ(report.outcome, ScenarioOutcome::kRecovered);
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.resumes, 0) << "a torn checkpoint must not be resumed";
+  EXPECT_EQ(report.value, dedicated_value(specs[0]));
+}
+
+TEST(Sweep, DeadlineOverrunIsRetriedAndRecovers) {
+  const std::vector<ScenarioSpec> specs{scenario("stall", 200, 31, 3000)};
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_deadline";
+  std::filesystem::remove_all(dir);
+  // One 300 ms stall against a 50 ms deadline: attempt 1 overruns (the
+  // cooperative check sees it at the next boundary), the retry runs
+  // stall-free from the last checkpoint.
+  FaultSpec latency;
+  latency.kind = FaultKind::kLatency;
+  latency.at_window = 0;
+  latency.latency_us = 300'000;
+  const FaultSchedule schedule({latency});
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  options.scenario_deadline_seconds = 0.05;
+  options.faults = &schedule;
+  const SweepResult result =
+      SweepRunner(options).run(specs, min_dark_statistic);
+
+  ASSERT_EQ(result.completed, 1);
+  const ScenarioReport& report = result.scenarios[0];
+  EXPECT_EQ(report.outcome, ScenarioOutcome::kRecovered);
+  EXPECT_GE(report.resumes, 1);
+  EXPECT_NE(report.error.find("deadline"), std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.value, dedicated_value(specs[0]));
+}
+
+TEST(Sweep, RandomCrashesHealBitIdenticallyAtAnyThreadCount) {
+  const std::vector<ScenarioSpec> specs = mixed_specs(6);
+  const SweepResult clean =
+      SweepRunner(sweep_options(1)).run(specs, min_dark_statistic);
+  ASSERT_EQ(clean.completed, 6);
+
+  for (const int threads : {1, 3}) {
+    // A fresh schedule per sweep: each spec fires once per schedule.
+    const FaultSchedule crashes = FaultSchedule::random_crashes(
+        /*seed=*/5, /*count=*/4, /*max_window=*/3, /*num_replicas=*/6);
+    SweepOptions options = sweep_options(threads);
+    options.faults = &crashes;
+    const SweepResult result =
+        SweepRunner(options).run(specs, min_dark_statistic);
+    EXPECT_EQ(result.completed, 6) << threads << " threads";
+    EXPECT_EQ(result.quarantined, 0);
+    EXPECT_GE(result.recovered, 1) << "no crash actually fired";
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(result.scenarios[i].value, clean.scenarios[i].value)
+          << "scenario " << i << " at " << threads << " threads";
+      EXPECT_EQ(result.scenarios[i].json, clean.scenarios[i].json);
+    }
+  }
+}
+
+TEST(Sweep, RunNeverResumesFromAnEarlierSweepsCheckpoint) {
+  // Sweeps reuse one directory, and cleanup_on_success is off by
+  // default, so scenario_0.ckpt outlives the sweep that wrote it.
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_stale";
+  std::filesystem::remove_all(dir);
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  SweepRunner runner(options);
+  const SweepResult earlier =
+      runner.run({scenario("earlier", 500, 3, 8000)}, min_dark_statistic);
+  ASSERT_EQ(earlier.completed, 1);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/scenario_0.ckpt"));
+
+  // A target-0 scenario writes no boundary checkpoint, so when its
+  // statistic fails once, the retry finds only the earlier sweep's
+  // file.  It must start from scratch, not from that foreign state.
+  const ScenarioSpec fresh = scenario("fresh", 200, 4, 0);
+  std::atomic<bool> failed_once{false};
+  const SweepRunner::Statistic flaky = [&](const CountSimulation& sim) {
+    if (!failed_once.exchange(true))
+      throw std::runtime_error("statistic failed once");
+    return min_dark_statistic(sim);
+  };
+  const SweepResult result = runner.run({fresh}, flaky);
+
+  ASSERT_EQ(result.scenarios.size(), 1U);
+  const ScenarioReport& report = result.scenarios[0];
+  EXPECT_EQ(report.outcome, ScenarioOutcome::kRecovered) << report.error;
+  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.resumes, 0);
+  EXPECT_EQ(report.value,
+            min_dark_statistic(CountSimulation::proportional_start(
+                fresh.weights, fresh.n)));
+}
+
+TEST(Sweep, ResumeNeverContinuesAnEarlierSweepsCheckpoint) {
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_stale_drain";
+  std::filesystem::remove_all(dir);
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  options.admission_capacity = 1;
+  SweepRunner runner(options);
+  const SweepResult earlier =
+      runner.run({scenario("earlier-0", 500, 5, 8000),
+                  scenario("earlier-1", 500, 6, 8000)},
+                 min_dark_statistic);
+  ASSERT_EQ(earlier.completed, 2);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/scenario_1.ckpt"));
+
+  // One thread takes scenario 0 first, and its statistic drains the
+  // sweep, so scenario 1 is dropped from the queue before it starts.
+  // resume() must then run it from scratch: the earlier sweep's state
+  // is a different simulation, and its clock is behind the new target.
+  const std::vector<ScenarioSpec> specs{scenario("later-0", 200, 7, 3000),
+                                        scenario("later-1", 200, 8, 9000)};
+  const SweepRunner::Statistic draining = [&](const CountSimulation& sim) {
+    runner.request_drain();
+    return min_dark_statistic(sim);
+  };
+  const SweepResult first = runner.run(specs, draining);
+  ASSERT_EQ(first.scenarios[1].outcome, ScenarioOutcome::kDrained);
+  ASSERT_EQ(first.scenarios[1].attempts, 0);
+
+  const SweepResult second = runner.resume(specs, min_dark_statistic);
+  EXPECT_EQ(second.completed, 2);
+  EXPECT_EQ(second.scenarios[1].resumes, 0);
+  EXPECT_EQ(second.scenarios[1].value, dedicated_value(specs[1]));
 }
 
 TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
