@@ -26,6 +26,7 @@ namespace {
 
 using divpp::analysis::PotentialKind;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 
 }  // namespace
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     const auto tau_scale = static_cast<std::int64_t>(
         divpp::core::convergence_time_scale(n, weights.total()));
     while (t <= 3 * tau_scale) {
-      sim.advance_to(t, gen);
+      sim.advance_with(Engine::kJump, t, gen);
       const double phi =
           divpp::analysis::evaluate_potential(sim, PotentialKind::kPhi);
       const double psi =
@@ -86,12 +87,12 @@ int main(int argc, char** argv) {
     for (std::int64_t s = 0; s < seeds; ++s) {
       auto sim = CountSimulation::adversarial_start(weights, n);
       divpp::rng::Xoshiro256 gen(100 + static_cast<std::uint64_t>(s));
-      sim.advance_to(tau, gen);
+      sim.advance_with(Engine::kJump, tau, gen);
       double worst_phi = 0.0;
       double worst_psi = 0.0;
       const std::int64_t probe = std::max<std::int64_t>(n / 4, 64);
       while (sim.time() < tau + window) {
-        sim.advance_to(sim.time() + probe, gen);
+        sim.advance_with(Engine::kJump, sim.time() + probe, gen);
         worst_phi = std::max(worst_phi, divpp::analysis::evaluate_potential(
                                             sim, PotentialKind::kPhi));
         worst_psi = std::max(worst_psi, divpp::analysis::evaluate_potential(

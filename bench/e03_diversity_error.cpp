@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
       auto sim =
           divpp::core::CountSimulation::adversarial_start(weights, n);
       divpp::rng::Xoshiro256 gen(7 + static_cast<std::uint64_t>(s));
-      sim.advance_to(tau, gen);
+      sim.advance_with(divpp::core::Engine::kJump, tau, gen);
       for (std::int64_t p = 0; p < probes; ++p) {
-        sim.advance_to(sim.time() + gap, gen);
+        sim.advance_with(divpp::core::Engine::kJump, sim.time() + gap, gen);
         const auto supports = sim.supports();
         errors.add(divpp::stats::diversity_error(supports,
                                                  weights.weights()));

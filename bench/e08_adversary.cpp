@@ -35,6 +35,7 @@ namespace {
 
 using divpp::adversary::Event;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -47,7 +48,7 @@ double recovery(const Event& event, std::int64_t n, double delta,
   Xoshiro256 gen(seed);
   const auto settle = static_cast<std::int64_t>(
       3.0 * divpp::core::convergence_time_scale(n, weights.total()));
-  sim.advance_to(settle, gen);
+  sim.advance_with(Engine::kJump, settle, gen);
   divpp::adversary::apply_event(sim, event);
   const std::int64_t shock_time = sim.time();
   const double post_scale =

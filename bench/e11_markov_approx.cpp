@@ -52,14 +52,23 @@ int main(int argc, char** argv) {
   while (tagged.time() < warmup) tagged.step(gen);
   std::vector<std::int64_t> occupancy(static_cast<std::size_t>(2 * k), 0);
   const std::int64_t start = tagged.time();
-  tagged.run_observed(start + horizon, gen,
-                      [&](std::int64_t, divpp::core::AgentState s) {
-                        const std::int64_t state =
-                            s.is_dark()
-                                ? divpp::markov::dark_state(s.color)
-                                : divpp::markov::light_state(s.color, k);
-                        ++occupancy[static_cast<std::size_t>(state)];
-                      });
+  // Occupancy of the pre-step state at every step in [start, end): each
+  // state is booked for the steps it held when the next change lands.
+  divpp::core::AgentState held = tagged.tagged_state();
+  std::int64_t held_since = start;
+  const auto book = [&](std::int64_t until) {
+    const std::int64_t state =
+        held.is_dark() ? divpp::markov::dark_state(held.color)
+                       : divpp::markov::light_state(held.color, k);
+    occupancy[static_cast<std::size_t>(state)] += until - held_since;
+    held_since = until;
+  };
+  tagged.run_changes(divpp::core::Engine::kStep, start + horizon, gen,
+                     [&](std::int64_t pre_step, divpp::core::AgentState s) {
+                       book(pre_step + 1);
+                       held = s;
+                     });
+  book(start + horizon);
 
   std::vector<double> empirical(occupancy.size());
   for (std::size_t i = 0; i < occupancy.size(); ++i)

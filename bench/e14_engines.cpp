@@ -38,6 +38,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 using divpp::runtime::BatchRunner;
@@ -85,9 +86,9 @@ int main(int argc, char** argv) {
           const double agent_c0 = static_cast<double>(
               divpp::core::tally(pop.states(), 2).supports()[0]);
           CountSimulation a(weights, {24, 24}, {0, 0});
-          a.run_to(kT, g2);
+          a.advance_with(Engine::kStep, kT, g2);
           CountSimulation b(weights, {24, 24}, {0, 0});
-          b.advance_to(kT, g3);
+          b.advance_with(Engine::kJump, kT, g3);
           return {agent_c0, static_cast<double>(a.support(0)),
                   static_cast<double>(b.support(0))};
         });
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
       const auto supports0 = runner.map(
           tp_replicas, 14'045, [&](std::int64_t, Xoshiro256& gen) {
             auto sim = CountSimulation::equal_start(weights, big_n);
-            sim.run_to(steps_per_replica, gen);
+            sim.advance_with(Engine::kStep, steps_per_replica, gen);
             return sim.support(0);
           });
       record("count-plain", steps_per_replica * tp_replicas, supports0);
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
       const auto supports0 = runner.map(
           tp_replicas, 14'046, [&](std::int64_t, Xoshiro256& gen) {
             auto sim = CountSimulation::equal_start(weights, big_n);
-            sim.advance_to(steps_per_replica * 10, gen);
+            sim.advance_with(Engine::kJump, steps_per_replica * 10, gen);
             return sim.support(0);
           });
       record("count-jump", steps_per_replica * 10 * tp_replicas, supports0);

@@ -34,6 +34,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -292,7 +293,7 @@ void BM_CountJumpAdvance(benchmark::State& state) {
   Xoshiro256 gen(9);
   // Measure per-simulated-step cost: each iteration advances 1024 steps.
   for (auto _ : state) {
-    sim.advance_to(sim.time() + 1024, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 1024, gen);
     benchmark::DoNotOptimize(sim.total_dark());
   }
   state.SetItemsProcessed(state.iterations() * 1024);
@@ -376,9 +377,12 @@ void run_pr2_harness(const std::string& path, bool quick) {
     {
       auto sim = CountSimulation::equal_start(WeightMap(w), kN);
       Xoshiro256 gen(8);
-      warmup_seconds += time_warmup([&] { sim.advance_to(warm_time, gen); });
+      warmup_seconds += time_warmup(
+          [&] { sim.advance_with(Engine::kJump, warm_time, gen); });
       const double fenwick_ns = time_ns_per_step(
-          step_budget, [&](std::int64_t s) { sim.run_to(sim.time() + s, gen); });
+          step_budget, [&](std::int64_t s) {
+            sim.advance_with(Engine::kStep, sim.time() + s, gen);
+          });
       auto ref = LinearCountRef::equal_start(k, kN, 2.0);
       Xoshiro256 ref_gen(8);
       warmup_seconds +=
@@ -396,10 +400,13 @@ void run_pr2_harness(const std::string& path, bool quick) {
     {
       auto sim = CountSimulation::equal_start(WeightMap(w), kN);
       Xoshiro256 gen(9);
-      warmup_seconds += time_warmup([&] { sim.advance_to(warm_time, gen); });
+      warmup_seconds += time_warmup(
+          [&] { sim.advance_with(Engine::kJump, warm_time, gen); });
       const double fenwick_ns = time_ns_per_step(
           jump_budget,
-          [&](std::int64_t s) { sim.advance_to(sim.time() + s, gen); });
+          [&](std::int64_t s) {
+            sim.advance_with(Engine::kJump, sim.time() + s, gen);
+          });
       auto ref = LinearCountRef::equal_start(k, kN, 2.0);
       Xoshiro256 ref_gen(9);
       warmup_seconds +=

@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
       divpp::rng::Xoshiro256 gen(800 + static_cast<std::uint64_t>(s));
       const auto settle = static_cast<std::int64_t>(
           3.0 * divpp::core::convergence_time_scale(n, weights.total()));
-      sim.advance_to(settle, gen);
+      sim.advance_with(divpp::core::Engine::kJump, settle, gen);
       // Collect a long share series sampled every n steps.
       constexpr std::int64_t kSamples = 512;
       std::vector<double> series;
       series.reserve(kSamples);
       for (std::int64_t i = 0; i < kSamples; ++i) {
-        sim.advance_to(sim.time() + n, gen);
+        sim.advance_with(divpp::core::Engine::kJump, sim.time() + n, gen);
         series.push_back(static_cast<double>(sim.support(1)) /
                          static_cast<double>(n));
       }

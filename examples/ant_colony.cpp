@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
 
   // Let the colony organise itself.
   const std::int64_t settle = 40 * n;
-  sim.advance_to(settle, gen);
+  sim.advance_with(divpp::core::Engine::kJump, settle, gen);
   monitor.observe(sim.dark_counts(), sim.time());
   print_snapshot(sim, "after self-organisation");
 
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   divpp::adversary::apply_event(
       sim, divpp::adversary::PartialRecolor{0, 1, 0.8});
   print_snapshot(sim, "raid! 80% of foragers defected to brood care");
-  sim.advance_to(sim.time() + 40 * n, gen);
+  sim.advance_with(divpp::core::Engine::kJump, sim.time() + 40 * n, gen);
   monitor.observe(sim.dark_counts(), sim.time());
   print_snapshot(sim, "recovered after the raid");
 
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                "weight 2) ***\n\n";
   // A brand-new colour starts from a single dark agent, so give it the
   // full O(W² n log n) budget to reach its fair share.
-  sim.advance_to(sim.time() + 400 * n, gen);
+  sim.advance_with(divpp::core::Engine::kJump, sim.time() + 400 * n, gen);
   divpp::analysis::SustainabilityMonitor monitor5(5);
   monitor5.observe(sim.dark_counts(), sim.time());
   print_snapshot(sim, "colony re-balanced around five tasks");

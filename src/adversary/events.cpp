@@ -107,10 +107,4 @@ void Schedule::run(core::CountSimulation& sim, std::int64_t horizon,
   }
 }
 
-void Schedule::run(core::CountSimulation& sim, std::int64_t horizon,
-                   rng::Xoshiro256& gen, bool use_jump_chain) const {
-  run(sim, horizon, gen,
-      use_jump_chain ? core::Engine::kJump : core::Engine::kStep);
-}
-
 }  // namespace divpp::adversary

@@ -82,12 +82,8 @@ class Schedule {
   /// splits its windows at the event times automatically.  Safe for
   /// every engine: the chains re-parameterise after each event.
   void run(core::CountSimulation& sim, std::int64_t horizon,
-           rng::Xoshiro256& gen, core::Engine engine) const;
-
-  /// Back-compat spelling: jump chain when `use_jump_chain`, plain
-  /// stepping otherwise.
-  void run(core::CountSimulation& sim, std::int64_t horizon,
-           rng::Xoshiro256& gen, bool use_jump_chain = true) const;
+           rng::Xoshiro256& gen,
+           core::Engine engine = core::Engine::kJump) const;
 
   [[nodiscard]] const std::vector<ScheduledEvent>& events() const noexcept {
     return events_;

@@ -150,25 +150,6 @@ class CollisionBatcher {
                        std::span<std::int64_t> light, std::int64_t budget,
                        rng::Xoshiro256& gen);
 
-  /// Exclude-one-agent entry of the draw chain: advances the
-  /// configuration as advance() does, but with one distinguished agent
-  /// (shade `excluded_dark`, colour `excluded_color`) held out of every
-  /// participant draw — the batch runs on the counts minus that agent, so
-  /// no interaction of the stretch can relocate it.  This is the
-  /// count-level conditional law behind the batched tagged engine
-  /// (core::TaggedCountSimulation): conditioned on the tagged agent not
-  /// taking part in a stretch, the stretch is a plain collision batch of
-  /// the remaining n − 1 agents — mirroring the step-mode rule that draws
-  /// the initiator from the counts minus the tagged agent.
-  /// The excluded cell is restored before returning, so the spans keep
-  /// the full population.  \pre the excluded cell's count >= 1; the
-  /// population minus the excluded agent still has >= 2 agents.
-  std::int64_t advance_excluding(std::span<std::int64_t> dark,
-                                 std::span<std::int64_t> light,
-                                 core::ColorId excluded_color,
-                                 bool excluded_dark, std::int64_t budget,
-                                 rng::Xoshiro256& gen);
-
   /// Tagged-involvement law (public test hook; PR 5).  Each interaction
   /// of the scheduler picks a fixed agent as initiator with probability
   /// 1/n and as responder with probability 1/n — disjoint events, i.i.d.

@@ -378,38 +378,29 @@ CountStepOutcome CountSimulation::step(rng::Xoshiro256& gen) {
   return outcome;
 }
 
-void CountSimulation::run_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_to: target time is in the past");
-  drive(Engine::kStep, target_time, gen);
-}
-
-void CountSimulation::advance_to(std::int64_t target_time,
-                                 rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("advance_to: target time is in the past");
-  drive(Engine::kJump, target_time, gen);
-}
-
-void CountSimulation::run_batched(std::int64_t target_time,
-                                  rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_batched: target time is in the past");
-  drive(Engine::kBatch, target_time, gen);
-}
-
-void CountSimulation::run_auto(std::int64_t target_time,
-                               rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_auto: target time is in the past");
-  drive(Engine::kAuto, target_time, gen);
-}
-
 void CountSimulation::advance_with(Engine engine, std::int64_t target_time,
                                    rng::Xoshiro256& gen) {
   if (target_time < time_)
     throw std::invalid_argument("advance_with: target time is in the past");
-  drive(engine, target_time, gen);
+  SIM_IF_CHECKED(check_invariants());
+  while (!pending_events_.empty() &&
+         pending_events_.front().time <= target_time) {
+    PendingEvent event = std::move(pending_events_.front());
+    pending_events_.erase(pending_events_.begin());
+    if (event.time < time_)
+      throw std::invalid_argument(
+          "advance_with: a scheduled event's time has already passed (was "
+          "the simulation advanced with bare step() calls?)");
+    if (event.time > time_) advance_core(engine, event.time, gen);
+    // Window/event alignment: every engine must stop exactly at the
+    // event's interaction index — a batch that overshoots would apply
+    // interactions the event was scheduled to precede.
+    SIM_DCHECK_EQ(time_, event.time);
+    event.action(*this);
+  }
+  if (time_ < target_time) advance_core(engine, target_time, gen);
+  SIM_DCHECK_EQ(time_, target_time);
+  SIM_IF_CHECKED(check_invariants());
 }
 
 std::int64_t CountSimulation::schedule_event(std::int64_t when,
@@ -476,47 +467,24 @@ bool CountSimulation::cancel_scheduled_event(std::int64_t handle) noexcept {
   return false;
 }
 
-void CountSimulation::drive(Engine engine, std::int64_t target_time,
-                            rng::Xoshiro256& gen) {
-  SIM_IF_CHECKED(check_invariants());
-  while (!pending_events_.empty() &&
-         pending_events_.front().time <= target_time) {
-    PendingEvent event = std::move(pending_events_.front());
-    pending_events_.erase(pending_events_.begin());
-    if (event.time < time_)
-      throw std::invalid_argument(
-          "drive: a scheduled event's time has already passed (was the "
-          "simulation advanced with bare step() calls?)");
-    if (event.time > time_) advance_core(engine, event.time, gen);
-    // Window/event alignment: every engine must stop exactly at the
-    // event's interaction index — a batch that overshoots would apply
-    // interactions the event was scheduled to precede.
-    SIM_DCHECK_EQ(time_, event.time);
-    event.action(*this);
-  }
-  if (time_ < target_time) advance_core(engine, target_time, gen);
-  SIM_DCHECK_EQ(time_, target_time);
-  SIM_IF_CHECKED(check_invariants());
-}
-
 void CountSimulation::advance_core(Engine engine, std::int64_t target_time,
                                    rng::Xoshiro256& gen) {
   switch (engine) {
-    case Engine::kStep: run_to_impl(target_time, gen); return;
-    case Engine::kJump: advance_to_impl(target_time, gen); return;
-    case Engine::kBatch: run_batched_impl(target_time, gen); return;
-    case Engine::kAuto: run_auto_impl(target_time, gen); return;
+    case Engine::kStep: step_to(target_time, gen); return;
+    case Engine::kJump: jump_to(target_time, gen); return;
+    case Engine::kBatch: batch_to(target_time, gen); return;
+    case Engine::kAuto: auto_to(target_time, gen); return;
   }
   throw std::logic_error("advance_core: unknown engine");
 }
 
-void CountSimulation::run_to_impl(std::int64_t target_time,
-                                  rng::Xoshiro256& gen) {
+void CountSimulation::step_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   while (time_ < target_time) (void)step(gen);
 }
 
-void CountSimulation::advance_to_impl(std::int64_t target_time,
-                                      rng::Xoshiro256& gen) {
+void CountSimulation::jump_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   const double denom = static_cast<double>(n_) * static_cast<double>(n_ - 1);
   while (time_ < target_time) {
     // Absorption is decided on exact integers (an adopt needs a light and
@@ -570,10 +538,10 @@ void CountSimulation::advance_to_impl(std::int64_t target_time,
   }
 }
 
-void CountSimulation::run_batched_impl(std::int64_t target_time,
-                                       rng::Xoshiro256& gen) {
+void CountSimulation::batch_to(std::int64_t target_time,
+                               rng::Xoshiro256& gen) {
   if (n_ < kBatchMinPopulation) {
-    run_to_impl(target_time, gen);
+    step_to(target_time, gen);
     return;
   }
   if (!batcher_.has_value() || batcher_->num_colors() != num_colors()) {
@@ -602,7 +570,7 @@ void CountSimulation::run_batched_impl(std::int64_t target_time,
     const std::int64_t consumed = batcher.advance(dark_, light_, budget, gen);
     // A batch may never overrun its window: the run length is truncated
     // at the budget and the collision interaction only counts when it
-    // fits (event alignment in drive() depends on this).
+    // fits (event alignment in advance_with depends on this).
     SIM_ASSERT(consumed >= 1);
     SIM_DCHECK_LE(consumed, budget);
     time_ += consumed;
@@ -618,7 +586,7 @@ double CountSimulation::active_fraction_estimate() const noexcept {
 
 Engine CountSimulation::pick_auto_engine(
     std::int64_t window) const noexcept {
-  // Tiny populations: run_batched would fall back to plain stepping,
+  // Tiny populations: kBatch would fall back to plain stepping,
   // which the jump chain strictly dominates.
   if (n_ < kBatchMinPopulation) return Engine::kJump;
   const double jump_ns =
@@ -634,16 +602,16 @@ Engine CountSimulation::pick_auto_engine(
   return batch_ns < jump_ns ? Engine::kBatch : Engine::kJump;
 }
 
-void CountSimulation::run_auto_impl(std::int64_t target_time,
-                                    rng::Xoshiro256& gen) {
+void CountSimulation::auto_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   const std::int64_t window = target_time - time_;
   if (window <= 0) return;
   const Engine engine = pick_auto_engine(window);
   const std::int64_t before = active_transitions_;
   if (engine == Engine::kJump) {
-    advance_to_impl(target_time, gen);
+    jump_to(target_time, gen);
   } else {
-    run_batched_impl(target_time, gen);
+    batch_to(target_time, gen);
   }
   if (window < kAutoEwmaMinWindow) return;  // too noisy to learn from
   const double measured =
@@ -727,6 +695,10 @@ TaggedCountSimulation::TaggedCountSimulation(CountSimulation sim,
   if (pool < 1)
     throw std::invalid_argument(
         "TaggedCountSimulation: no agent with the requested state to tag");
+  if (sim_.pending_event_count() != 0)
+    throw std::invalid_argument(
+        "TaggedCountSimulation: the simulation has pending scheduled events, "
+        "which a tagged run cannot fire");
 }
 
 void TaggedCountSimulation::step(rng::Xoshiro256& gen) {
@@ -767,30 +739,29 @@ void TaggedCountSimulation::step(rng::Xoshiro256& gen) {
 void TaggedCountSimulation::advance_with(Engine engine,
                                          std::int64_t target_time,
                                          rng::Xoshiro256& gen) {
-  if (target_time < sim_.time_)
-    throw std::invalid_argument(
-        "TaggedCountSimulation::advance_with: target time is in the past");
-  if (engine == Engine::kStep || sim_.n_ < kBatchMinPopulation) {
-    run_steps(target_time, gen, nullptr);
-  } else {
-    run_decomposed(engine, target_time, gen, nullptr);
-  }
+  run(engine, target_time, gen, nullptr);
 }
 
 void TaggedCountSimulation::run_changes(Engine engine,
                                         std::int64_t target_time,
                                         rng::Xoshiro256& gen,
                                         const ChangeObserver& on_change) {
-  if (!on_change)
+  run(engine, target_time, gen, &on_change);
+}
+
+void TaggedCountSimulation::run(Engine engine, std::int64_t target_time,
+                                rng::Xoshiro256& gen,
+                                const ChangeObserver* on_change) {
+  if (on_change != nullptr && !*on_change)
     throw std::invalid_argument(
         "TaggedCountSimulation::run_changes: empty observer");
   if (target_time < sim_.time_)
     throw std::invalid_argument(
-        "TaggedCountSimulation::run_changes: target time is in the past");
+        "TaggedCountSimulation: target time is in the past");
   if (engine == Engine::kStep || sim_.n_ < kBatchMinPopulation) {
-    run_steps(target_time, gen, &on_change);
+    run_steps(target_time, gen, on_change);
   } else {
-    run_decomposed(engine, target_time, gen, &on_change);
+    run_decomposed(engine, target_time, gen, on_change);
   }
 }
 
@@ -815,8 +786,7 @@ void TaggedCountSimulation::run_decomposed(Engine engine,
   // interaction is a uniform ordered pair of the remaining n − 1 agents —
   // a standard lumped chain `engine` advances at full speed, which by
   // construction can never relocate the tagged agent (the run-scope form
-  // of batch::CollisionBatcher::advance_excluding's per-call conditioning
-  // and of step()'s counts-minus-tagged initiator draw).
+  // of step()'s counts-minus-tagged initiator draw).
   const std::int64_t n = sim_.n_;
   {
     auto& cell = tagged_.is_dark()

@@ -11,18 +11,19 @@
 /// and O(k) memory — independent of n — which is what makes the paper's
 /// n-scaling experiments tractable.
 ///
-/// Two stepping modes are provided and are distributionally identical:
-///  * step()          — one time-step, including no-ops;
-///  * advance_to()    — "jump chain": samples the geometric number of
-///    no-op steps between state changes, then applies one active
-///    transition.  Near equilibrium only a Θ(1/W) fraction of steps are
-///    active, so this is several times faster for long windows.
+/// step() executes one time-step, including no-ops; advance_with() runs
+/// to a target time under one of the distributionally identical engines
+/// of `Engine`.  The jump chain samples the geometric number of no-op
+/// steps between state changes, then applies one active transition:
+/// near equilibrium only a Θ(1/W) fraction of steps are active, so it is
+/// several times faster than stepping for long windows.
 ///
-/// Both modes run on the Fenwick samplers of sampling/fenwick.h: class
-/// draws and flip-propensity draws cost O(log k) per transition, and the
-/// adopt/flip propensities are maintained by O(1) deltas instead of an
-/// O(k) rebuild per active transition — the standard kinetic-Monte-Carlo
-/// organisation, which is what makes large-k sweeps (E17) tractable.
+/// Stepping and the jump chain run on the Fenwick samplers of
+/// sampling/fenwick.h: class draws and flip-propensity draws cost
+/// O(log k) per transition, and the adopt/flip propensities are
+/// maintained by O(1) deltas instead of an O(k) rebuild per active
+/// transition — the standard kinetic-Monte-Carlo organisation, which is
+/// what makes large-k sweeps (E17) tractable.
 ///
 /// TaggedCountSimulation additionally carries one distinguished agent
 /// through the lumped dynamics (exactly — see the class comment), which
@@ -57,14 +58,25 @@ struct CountStepOutcome {
   ColorId to = -1;    ///< adopt: colour gaining a dark agent; fade: == from
 };
 
-/// The distributionally identical stepping engines of the lumped chain:
-/// plain per-interaction stepping (run_to), the jump chain that skips
-/// no-op stretches (advance_to), the collision-batch engine that applies
-/// whole stretches of distinct-agent interactions in aggregate
-/// (run_batched), and the auto engine that picks jump or batch per
-/// window from a cost model (run_auto) — kAuto consumes the same RNG
-/// stream as whichever engine it delegates to, so it is as exact as
-/// they are.
+/// The distributionally identical engines of the lumped chain, selected
+/// per call of CountSimulation::advance_with:
+///  * kStep  — plain per-interaction stepping, a loop of step().
+///  * kJump  — the jump chain: skips each no-op stretch with one
+///    geometric draw, O(log k) per active transition.
+///  * kBatch — the collision-batch engine (batch/collision_batch.h):
+///    applies whole collision-free stretches of distinct-agent
+///    interactions in aggregate, amortised sub-constant work per
+///    interaction at large n.  Its RNG draw *sequence* differs from
+///    kStep's and kJump's (see the README reproducibility note).
+///    Populations too small for batching to pay fall back to stepping.
+///  * kAuto  — treats each window (a call, or a segment between two
+///    scheduled events) as one decision: predicts the per-interaction
+///    cost of the jump chain (∝ its per-transition constant × the EWMA
+///    active fraction) and of the batch engine (∝ its per-batch constant
+///    over the expected collision-free stretch clamped by the window),
+///    runs the cheaper one, then folds the measured active fraction into
+///    the EWMA.  It consumes exactly the RNG stream of the engine it
+///    delegates to, so it is as exact as they are.
 enum class Engine { kStep, kJump, kBatch, kAuto };
 
 /// Parses "step" / "jump" / "batch" / "auto" (bench --engine flags).
@@ -154,32 +166,9 @@ class CountSimulation {
   /// Executes exactly one time-step (possibly a no-op).
   CountStepOutcome step(rng::Xoshiro256& gen);
 
-  /// Runs plain steps until time() == target_time.  \pre target >= time().
-  void run_to(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Jump-chain run: advances until time() == target_time, skipping no-op
-  /// stretches in O(k) each.  Distributionally identical to run_to.
-  void advance_to(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Collision-batch run (batch/collision_batch.h): advances until
-  /// time() == target_time applying whole collision-free stretches of
-  /// interactions in aggregate — amortised sub-constant work per
-  /// interaction at large n.  Distributionally identical to run_to /
-  /// advance_to; the RNG draw *sequence* differs from both (see the
-  /// README reproducibility note).  Falls back to plain stepping for
-  /// populations too small for batching to pay.
-  void run_batched(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Auto-adaptive run: treats the call as one window, predicts the
-  /// per-interaction cost of the jump chain (∝ its per-transition
-  /// constant × the EWMA active fraction) and of the batch engine
-  /// (∝ its per-batch constant over the expected collision-free stretch
-  /// clamped by the window), runs the cheaper engine, then folds the
-  /// measured active fraction into the EWMA.  Consumes exactly the RNG
-  /// stream of the engine it delegates to.
-  void run_auto(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Dispatches to run_to / advance_to / run_batched / run_auto.
+  /// Advances until time() == target_time with `engine` (see `Engine`),
+  /// firing every scheduled event at exactly its interaction index.
+  /// \throws std::invalid_argument when target_time < time().
   void advance_with(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
 
@@ -189,16 +178,15 @@ class CountSimulation {
   /// interaction index.
   using EventAction = std::function<void(CountSimulation&)>;
 
-  /// Schedules `action` to run when time() == `when`, from inside any of
-  /// the run functions (run_to / advance_to / run_batched / run_auto /
-  /// advance_with): the driving engine splits its window at the event
-  /// time automatically, so callers no longer hand-split batched windows
-  /// around adversary events.  Events fire in time order (ties in
-  /// registration order), exactly once, after `when` interactions have
-  /// been applied and before interaction `when` + 1.  The action may
-  /// mutate the simulation structurally (add_agents / add_color / ...)
-  /// but must not re-enter a run function.  Returns a handle for
-  /// cancel_scheduled_event.
+  /// Schedules `action` to run when time() == `when`, from inside
+  /// advance_with: every engine splits its window at the event time, so
+  /// callers never hand-split batched windows around adversary events.
+  /// Events fire in time order (ties in registration order), exactly
+  /// once, after `when` interactions have been applied and before
+  /// interaction `when` + 1.  The action may mutate the simulation
+  /// structurally (add_agents / add_color / ...) but must not re-enter
+  /// advance_with.  Bare step() calls and TaggedCountSimulation never
+  /// fire events.  Returns a handle for cancel_scheduled_event.
   /// \pre when >= time().
   std::int64_t schedule_event(std::int64_t when, EventAction action);
 
@@ -292,26 +280,23 @@ class CountSimulation {
   /// conservation Σ(dark + light) == n, non-negativity, total_dark_ /
   /// dark_ge2_ / Fenwick-tree consistency, flip propensities within the
   /// rebuild drift bound, event queue sorted and not in the past.  Called
-  /// from window boundaries (drive) and every structural rebuild — not
-  /// per step, so checked runs stay within ~2× wall-clock.
+  /// from window boundaries (advance_with) and every structural rebuild
+  /// — not per step, so checked runs stay within ~2× wall-clock.
   void check_invariants() const;
   /// Rebuilds every derived structure (trees, propensities, counters)
   /// from dark_/light_ in O(k) — constructor and structural mutators.
   void rebuild_derived();
-  /// Engine cores without event awareness; the public run functions wrap
-  /// them in drive(), which splits at pending event times.
-  void run_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  void advance_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  void run_batched_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  void run_auto_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  /// Advances to target_time with `engine`, firing every scheduled event
-  /// at exactly its interaction index (each split segment is its own
-  /// window for the auto engine).
-  void drive(Engine engine, std::int64_t target_time, rng::Xoshiro256& gen);
+  /// Engine cores without event awareness; advance_with splits its
+  /// window at pending event times and runs each segment through
+  /// advance_core (each segment is its own window for the auto engine).
+  void step_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  void jump_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  void batch_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  void auto_to(std::int64_t target_time, rng::Xoshiro256& gen);
   void advance_core(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
   /// The auto engine's cost-model decision for a window of `window`
-  /// interactions (exposed to tests through run_auto's behaviour).
+  /// interactions (exposed to tests through kAuto's behaviour).
   [[nodiscard]] Engine pick_auto_engine(std::int64_t window) const noexcept;
   void apply_adopt(ColorId from, ColorId to) noexcept;
   void apply_fade(ColorId i) noexcept;
@@ -356,7 +341,7 @@ class CountSimulation {
   };
   std::vector<PendingEvent> pending_events_;
   std::int64_t next_event_handle_ = 0;
-  /// Lazily built by run_batched and kept across calls so windowed
+  /// Lazily built by the batch engine and kept across calls so windowed
   /// drivers (advance_with per check_every chunk) reuse the batcher's
   /// O(√n) run-length table instead of rebuilding it per window.
   /// Invalidated when the palette grows (add_color).
@@ -399,24 +384,15 @@ class TaggedCountSimulation {
  public:
   /// Tags one agent of colour `tagged_color` with shade `tagged_dark`.
   /// \pre the corresponding count in `sim` is >= 1.
+  /// \throws std::invalid_argument when no such agent exists, or when
+  /// `sim` has pending scheduled events: an event cannot fire while the
+  /// tagged agent is held out of the counts, so a tagged run would skip
+  /// it and leave a checkpoint whose event lies before its clock.
   TaggedCountSimulation(CountSimulation sim, ColorId tagged_color,
                         bool tagged_dark);
 
   /// One time-step of the joint (counts, tagged) chain.
   void step(rng::Xoshiro256& gen);
-
-  /// Runs until time() == target_time, invoking
-  /// observer(time_before_step, tagged_state) before every step.
-  template <typename Observer>
-  void run_observed(std::int64_t target_time, rng::Xoshiro256& gen,
-                    Observer&& observer) {
-    while (sim_.time() < target_time) {
-      observer(sim_.time(), tagged_);
-      step(gen);
-    }
-  }
-
-  // ---- engine-generalised runs (PR 5) ---------------------------------
 
   /// Advances the joint chain to target_time with the chosen engine.
   /// All four engines are distributionally identical on the joint
@@ -424,24 +400,10 @@ class TaggedCountSimulation {
   /// (tests/test_tagged_batch.cpp); the RNG draw *sequence* differs
   /// between kStep and the decomposed engines (README reproducibility
   /// note).  kAuto delegates each collision-free segment to jump or
-  /// batch through the underlying cost model.  Scheduled events on the
-  /// wrapped simulation are not fired (same contract as step()).
+  /// batch through the underlying cost model.
+  /// \throws std::invalid_argument when target_time < time().
   void advance_with(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
-
-  /// Engine shorthands mirroring CountSimulation's run functions.
-  void run_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kStep, target_time, gen);
-  }
-  void advance_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kJump, target_time, gen);
-  }
-  void run_batched(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kBatch, target_time, gen);
-  }
-  void run_auto(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kAuto, target_time, gen);
-  }
 
   /// Called at every tagged-agent state change with the time-step index
   /// at which `new_state` takes effect (the pre-step clock of the
@@ -449,10 +411,12 @@ class TaggedCountSimulation {
   /// analysis::FairnessTracker::observe_change consumes it directly).
   using ChangeObserver = std::function<void(std::int64_t, AgentState)>;
 
-  /// Advances to target_time with `engine`, invoking `on_change` exactly
-  /// once per tagged state change — the aggregate-observer counterpart of
-  /// run_observed: a whole stretch between changes books as one segment,
-  /// so fairness accounting costs O(changes), not O(interactions).
+  /// advance_with plus `on_change`, invoked exactly once per tagged state
+  /// change: a whole stretch between changes books as one segment, so
+  /// fairness accounting costs O(changes), not O(interactions).  Under
+  /// kStep the stream is that of a plain step() loop.
+  /// \throws std::invalid_argument on an empty observer or when
+  /// target_time < time().
   void run_changes(Engine engine, std::int64_t target_time,
                    rng::Xoshiro256& gen, const ChangeObserver& on_change);
 
@@ -465,6 +429,10 @@ class TaggedCountSimulation {
   void canonicalize() { sim_.canonicalize(); }
 
  private:
+  /// The one body of advance_with and run_changes (`on_change` may be
+  /// null): validates, then runs the step loop or the decomposition.
+  void run(Engine engine, std::int64_t target_time, rng::Xoshiro256& gen,
+           const ChangeObserver* on_change);
   /// Step-mode run shared by the kStep engine and the small-population
   /// fallback; bit-identical to a plain step() loop.
   void run_steps(std::int64_t target_time, rng::Xoshiro256& gen,

@@ -105,8 +105,9 @@ struct FaultSpec {
   /// Fires at the boundary completing window index at_window (0-based).
   std::int64_t at_window = -1;
   /// Fires at the first boundary whose cumulative draw count reaches
-  /// at_draws.  Draws are counted from the replica run start and
-  /// include replayed windows after a crash.
+  /// at_draws.  Draws are counted from the start of each run_windows
+  /// call, i.e. per attempt: a resumed attempt counts from its restored
+  /// checkpoint, not from the scenario's first attempt.
   std::int64_t at_draws = -1;
   /// Restricts to one replica (-1 = any replica).
   std::int64_t replica = -1;
@@ -123,7 +124,7 @@ struct Boundary {
   std::int64_t window_index = 0;  ///< 0-based index of the window just run
   std::int64_t prev_time = 0;     ///< clock at the window's start
   std::int64_t time = 0;          ///< clock now
-  std::int64_t draws = -1;        ///< cumulative RNG draws, or -1 unaudited
+  std::int64_t draws = -1;  ///< RNG draws this attempt, or -1 unaudited
 };
 
 /// A reproducible set of faults.  Trigger evaluation is pure; the only

@@ -43,7 +43,7 @@ std::string drive_windows(Sim& sim, const core::CountSimulation& counts,
 #endif
   const auto start = Clock::now();
   rng::Xoshiro256 window_start_gen = gen;
-  std::int64_t draws = config.draws_offset;
+  std::int64_t draws = 0;
   const std::int64_t period = config.checkpoint_period;
   std::string blob;
   std::int64_t now = sim.time();

@@ -92,9 +92,6 @@ struct DurableRunConfig {
   const fault::FaultSchedule* faults = nullptr;
   /// This run's replica coordinate in fault::Boundary.
   std::int64_t replica = 0;
-  /// Starting value for the cumulative draw count reported to draw-
-  /// triggered faults (draws are audited per run_windows call).
-  std::int64_t draws_offset = 0;
   /// Cooperative drain hook: checked at every boundary *after* the
   /// checkpoint is persisted (and after the fault hooks fired).
   /// Returning true makes run_windows return the boundary blob early,

@@ -28,6 +28,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kManifest = "sweep manifest";
+constexpr std::string_view kManifestHeader = "divpp-sweep-v2 ";
 
 int parse_int(const std::string& text) {
   std::size_t used = 0;
@@ -472,7 +473,10 @@ void SweepRunner::write_manifest(
     const std::vector<ScenarioSpec>& specs,
     const std::vector<ScenarioReport>& reports) const {
   std::string text =
-      "divpp-sweep-v1 " + std::to_string(specs.size()) + "\n";
+      std::string(kManifestHeader) + std::to_string(specs.size()) + "\n";
+  // Each line records its scenario's whole spec (every deterministic
+  // field, in the supervisor's run-command encoding): resume() keeps a
+  // recorded result only for a spec equal to it byte for byte.
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const ScenarioReport& report = reports[i];
     text += "scenario " + std::to_string(i) + " " +
@@ -480,7 +484,7 @@ void SweepRunner::write_manifest(
             std::to_string(report.attempts) + " " +
             std::to_string(report.resumes) + " " +
             io::hex_double(report.value) + " " +
-            io::json_quote(report.name) + " " +
+            io::json_quote(wire::encode_run(i, false, specs[i])) + " " +
             io::json_quote(report.error) + "\n";
   }
   text += "end\n";
@@ -504,7 +508,7 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
         " scenarios, found " +
         std::to_string(lines.size() < 2 ? 0 : lines.size() - 2));
   const std::string header =
-      "divpp-sweep-v1 " + std::to_string(specs.size());
+      std::string(kManifestHeader) + std::to_string(specs.size());
   if (lines.front() != header)
     throw std::invalid_argument("sweep manifest: bad header '" +
                                 lines.front() + "'");
@@ -522,16 +526,17 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
     const int attempts = parse_int(token());
     const int resumes = parse_int(token());
     const double value = io::parse_hex_double(token(), kManifest);
-    const std::string name = io::scan_quoted(line, pos, kManifest);
+    const std::string spec = io::scan_quoted(line, pos, kManifest);
     const std::string error = io::scan_quoted(line, pos, kManifest);
     io::skip_spaces(line, pos);
     if (pos != line.size())
       throw std::invalid_argument("sweep manifest: trailing junk on line " +
                                   std::to_string(i + 2));
-    if (name != specs[i].name)
+    const std::string expected = wire::encode_run(i, false, specs[i]);
+    if (spec != expected)
       throw std::invalid_argument(
-          "sweep manifest: scenario " + std::to_string(i) + " is '" + name +
-          "' on disk but '" + specs[i].name +
+          "sweep manifest: scenario " + std::to_string(i) + " is '" + spec +
+          "' on disk but '" + expected +
           "' in the specs — refusing to resume a different sweep");
 
     ScenarioReport& report = reports[i];

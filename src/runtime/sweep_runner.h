@@ -40,11 +40,12 @@
 ///  - **Drain.** request_drain() (callable from any thread) stops
 ///    admission and parks every in-flight scenario at its next
 ///    checkpoint boundary — already persisted durably — then writes a
-///    sweep manifest.  resume() reloads the manifest, keeps finished
-///    results bit-identically, and finishes drained/pending scenarios
-///    from their checkpoints; the combined results are bit-identical to
-///    an uninterrupted run (period-aligned boundaries, see
-///    runtime/durable_runner.h).
+///    sweep manifest that records every scenario's full spec.  resume()
+///    reloads the manifest, refuses it unless each recorded spec equals
+///    the new one byte for byte, keeps finished results bit-identically,
+///    and finishes drained/pending scenarios from their checkpoints; the
+///    combined results are bit-identical to an uninterrupted run
+///    (period-aligned boundaries, see runtime/durable_runner.h).
 ///
 /// The statistic callback runs concurrently on pool threads: it must be
 /// thread-safe and a pure function of the final simulation state.
@@ -79,8 +80,8 @@ enum class ScenarioOutcome {
 
 /// One scenario: a self-contained simulation request.
 struct ScenarioSpec {
-  /// Identifies the scenario in reports and the manifest; resume()
-  /// cross-checks names against the manifest, so keep them unique.
+  /// Identifies the scenario in reports and result JSON; keep names
+  /// unique.
   std::string name;
   std::int64_t n = 0;  ///< population, >= 2
   /// The palette (WeightMap has no default state; a one-colour unit
@@ -243,7 +244,7 @@ class SweepRunner {
   /// drained scenarios continue from their durable checkpoints (or from
   /// scratch when none was written — same stream, same result).
   /// \throws std::invalid_argument when sweep_dir is empty or the
-  /// manifest does not match `specs` (count or names);
+  /// manifest does not match `specs` (count, or any field of any spec);
   /// fault::DurableFileError when the manifest is missing or corrupt.
   SweepResult resume(const std::vector<ScenarioSpec>& specs,
                      const Statistic& statistic);

@@ -21,6 +21,7 @@ using divpp::adversary::PartialRecolor;
 using divpp::adversary::RemoveColor;
 using divpp::adversary::Schedule;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -111,7 +112,7 @@ TEST(ScheduleTest, PlainSteppingModeWorksToo) {
   Schedule schedule;
   schedule.at(100, AddAgents{1, 6, false});
   Xoshiro256 gen(3);
-  schedule.run(sim, 2000, gen, /*use_jump_chain=*/false);
+  schedule.run(sim, 2000, gen, Engine::kStep);
   EXPECT_EQ(sim.time(), 2000);
   EXPECT_EQ(sim.n(), 66);
 }
@@ -119,7 +120,7 @@ TEST(ScheduleTest, PlainSteppingModeWorksToo) {
 TEST(ScheduleTest, StaleEventThrows) {
   auto sim = fresh_sim(60);
   Xoshiro256 gen(4);
-  sim.run_to(500, gen);
+  sim.advance_with(Engine::kStep, 500, gen);
   Schedule schedule;
   schedule.at(100, AddAgents{0, 1, true});
   EXPECT_THROW(schedule.run(sim, 1000, gen), std::invalid_argument);
@@ -131,8 +132,8 @@ TEST(ScheduleTest, RunsUnderEveryEngineWithoutHandSplitting) {
   // the event times automatically — the ROADMAP "hand-splitting
   // footgun" is gone.
   for (const divpp::core::Engine engine :
-       {divpp::core::Engine::kStep, divpp::core::Engine::kJump,
-        divpp::core::Engine::kBatch, divpp::core::Engine::kAuto}) {
+       {Engine::kStep, Engine::kJump,
+        Engine::kBatch, Engine::kAuto}) {
     auto sim = fresh_sim(500);
     Schedule schedule;
     schedule.at(777, AddAgents{0, 20, true});
@@ -154,26 +155,25 @@ TEST(ScheduleTest, ThrowingEventActionLeavesNoQueuedEvents) {
   schedule.at(100, RemoveColor{0, 0});  // victim == heir: throws
   schedule.at(500, AddAgents{0, 5, true});
   Xoshiro256 gen(7);
-  EXPECT_THROW(schedule.run(sim, 2'000, gen, divpp::core::Engine::kBatch),
+  EXPECT_THROW(schedule.run(sim, 2'000, gen, Engine::kBatch),
                std::invalid_argument);
   EXPECT_EQ(sim.pending_event_count(), 0);
   // The simulation stays usable.
-  sim.advance_to(3'000, gen);
+  sim.advance_with(Engine::kJump, 3'000, gen);
   EXPECT_EQ(sim.time(), 3'000);
   EXPECT_EQ(sim.n(), 200);
 }
 
-TEST(ScheduleTest, JumpEngineOverloadMatchesLegacyBoolOverload) {
-  // The bool spelling must stay bit-identical to the Engine spelling it
-  // forwards to.
+TEST(ScheduleTest, DefaultEngineIsTheJumpChain) {
+  // Omitting the engine must be bit-identical to naming kJump.
   auto sim_a = fresh_sim(200);
   auto sim_b = fresh_sim(200);
   Schedule schedule;
   schedule.at(300, AddAgents{1, 4, false});
   Xoshiro256 gen_a(6);
   Xoshiro256 gen_b(6);
-  schedule.run(sim_a, 4'000, gen_a, /*use_jump_chain=*/true);
-  schedule.run(sim_b, 4'000, gen_b, divpp::core::Engine::kJump);
+  schedule.run(sim_a, 4'000, gen_a);
+  schedule.run(sim_b, 4'000, gen_b, Engine::kJump);
   EXPECT_EQ(gen_a, gen_b);
   for (divpp::core::ColorId c = 0; c < sim_a.num_colors(); ++c) {
     EXPECT_EQ(sim_a.dark(c), sim_b.dark(c));
@@ -188,9 +188,9 @@ TEST(Robustness, RecoveryAfterColourInjection) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 400);
   Xoshiro256 gen(5);
-  sim.advance_to(200'000, gen);  // settle first
+  sim.advance_with(Engine::kJump, 200'000, gen);  // settle first
   divpp::adversary::apply_event(sim, AddColor{2.0, 1});
-  sim.advance_to(1'800'000, gen);
+  sim.advance_with(Engine::kJump, 1'800'000, gen);
   const double share = static_cast<double>(sim.support(2)) /
                        static_cast<double>(sim.n());
   EXPECT_NEAR(share, 0.5, 0.12);
@@ -202,11 +202,11 @@ TEST(Robustness, RecoveryAfterMassRecolor) {
   const WeightMap weights({1.0, 1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(6);
-  sim.advance_to(150'000, gen);
+  sim.advance_with(Engine::kJump, 150'000, gen);
   // 90% of colour 0's dark agents defect to colour 1 — but at least one
   // dark agent of colour 0 survives, so the protocol must restore it.
   divpp::adversary::apply_event(sim, PartialRecolor{0, 1, 0.9});
-  sim.advance_to(1'500'000, gen);
+  sim.advance_with(Engine::kJump, 1'500'000, gen);
   const double share0 = static_cast<double>(sim.support(0)) / 300.0;
   EXPECT_NEAR(share0, 1.0 / 3.0, 0.1);
 }

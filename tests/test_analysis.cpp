@@ -24,6 +24,7 @@ using divpp::analysis::Region;
 using divpp::analysis::SustainabilityMonitor;
 using divpp::core::AgentState;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::kDark;
 using divpp::core::kLight;
 using divpp::core::StepEvent;
@@ -153,7 +154,7 @@ TEST(PhaseTrackerTest, ObserveRecordsFirstHitsInOrder) {
     if (tracker.first_hit(Region::kS4) >= 0 &&
         tracker.first_hit(Region::kR2) >= 0)
       break;
-    sim.advance_to(sim.time() + 200, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 200, gen);
   }
   ASSERT_GE(tracker.first_hit(Region::kR1), 0) << "R1 never reached";
   ASSERT_GE(tracker.first_hit(Region::kR2), 0) << "R2 never reached";
@@ -339,7 +340,7 @@ TEST(SustainabilityIntegration, DiversificationNeverKillsDarkSupport) {
   SustainabilityMonitor monitor(2);
   Xoshiro256 gen(5);
   for (int burst = 0; burst < 200; ++burst) {
-    sim.advance_to(sim.time() + 1000, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 1000, gen);
     monitor.observe(sim.dark_counts(), sim.time());
   }
   EXPECT_TRUE(monitor.sustained());

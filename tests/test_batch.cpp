@@ -1,7 +1,7 @@
 // Tests for the collision-batch engine (batch/): the birthday run-length
 // sampler pinned against the exact survival law and a naive
 // pair-drawing simulation, CollisionBatcher conservation/margin
-// invariants, the CountSimulation::run_batched entry (fallback
+// invariants, CountSimulation's Engine::kBatch (fallback
 // bit-identity, absorption short-circuit), the agent-level
 // batch::run_batched, and — the headline distributional contract — a
 // fixed-seed two-sample chi-square showing batch and step produce the
@@ -353,7 +353,7 @@ TEST(CollisionBatcher, BudgetTruncationConsumesExactly) {
     EXPECT_EQ(batcher.advance(dark, light, 5, gen), 5);
 }
 
-// ---- CountSimulation::run_batched -----------------------------------------
+// ---- CountSimulation, Engine::kBatch ---------------------------------------
 
 TEST(RunBatched, SmallPopulationFallbackIsBitIdenticalToRunTo) {
   const WeightMap weights({1.0, 2.0, 4.0});
@@ -361,8 +361,8 @@ TEST(RunBatched, SmallPopulationFallbackIsBitIdenticalToRunTo) {
   auto b = CountSimulation::equal_start(weights, 50);
   Xoshiro256 gen_a(9);
   Xoshiro256 gen_b(9);
-  a.run_batched(5'000, gen_a);
-  b.run_to(5'000, gen_b);
+  a.advance_with(Engine::kBatch, 5'000, gen_a);
+  b.advance_with(Engine::kStep, 5'000, gen_b);
   EXPECT_EQ(gen_a, gen_b);
   EXPECT_EQ(a.time(), b.time());
   for (divpp::core::ColorId i = 0; i < 3; ++i) {
@@ -374,8 +374,9 @@ TEST(RunBatched, SmallPopulationFallbackIsBitIdenticalToRunTo) {
 TEST(RunBatched, RejectsPastTarget) {
   auto sim = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 1'000);
   Xoshiro256 gen(10);
-  sim.run_batched(100, gen);
-  EXPECT_THROW(sim.run_batched(50, gen), std::invalid_argument);
+  sim.advance_with(Engine::kBatch, 100, gen);
+  EXPECT_THROW(sim.advance_with(Engine::kBatch, 50, gen),
+               std::invalid_argument);
 }
 
 TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
@@ -389,7 +390,7 @@ TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
       std::vector<std::int64_t>(static_cast<std::size_t>(k), 0));
   Xoshiro256 gen(11);
   const Xoshiro256 before = gen;
-  sim.run_batched(1'000'000, gen);
+  sim.advance_with(Engine::kBatch, 1'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000);
   EXPECT_EQ(sim.min_dark(), 1);
   EXPECT_EQ(sim.total_light(), 0);
@@ -399,7 +400,7 @@ TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
   CountSimulation light_sim(
       weights, std::vector<std::int64_t>(static_cast<std::size_t>(k), 0),
       std::vector<std::int64_t>(static_cast<std::size_t>(k), 1));
-  light_sim.run_batched(1'000'000, gen);
+  light_sim.advance_with(Engine::kBatch, 1'000'000, gen);
   EXPECT_EQ(light_sim.time(), 1'000'000);
   EXPECT_EQ(light_sim.total_dark(), 0);
 }
@@ -408,7 +409,7 @@ TEST(RunBatched, ConservesPopulationAndDerivedState) {
   const WeightMap weights({1.0, 2.0, 3.0, 4.0});
   auto sim = CountSimulation::adversarial_start(weights, 100'000);
   Xoshiro256 gen(12);
-  sim.run_batched(300'000, gen);
+  sim.advance_with(Engine::kBatch, 300'000, gen);
   EXPECT_EQ(sim.time(), 300'000);
   std::int64_t total = 0, dark_total = 0, min_dark = sim.n();
   for (divpp::core::ColorId i = 0; i < 4; ++i) {
@@ -423,8 +424,8 @@ TEST(RunBatched, ConservesPopulationAndDerivedState) {
   EXPECT_EQ(sim.total_dark(), dark_total);
   EXPECT_EQ(sim.min_dark(), min_dark);
   // The engine can keep running on the resynced state with any engine.
-  sim.advance_to(301'000, gen);
-  sim.run_to(301'100, gen);
+  sim.advance_with(Engine::kJump, 301'000, gen);
+  sim.advance_with(Engine::kStep, 301'100, gen);
   EXPECT_EQ(sim.time(), 301'100);
 }
 
@@ -443,7 +444,7 @@ TEST(AdvanceWith, DispatchesToAllFourEngines) {
 
 TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
   // The ISSUE-3 acceptance pin: at n = 2000, the per-window law of the
-  // lumped counts under run_batched must equal the law under plain
+  // lumped counts under Engine::kBatch must equal the law under plain
   // stepping.  Two independent replica ensembles (fixed seeds), one per
   // engine, compared by two-sample chi-square on pooled-quantile bins of
   // two observables: the light total and the heaviest colour's dark
@@ -460,13 +461,13 @@ TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
   for (int r = 0; r < kReplicas; ++r) {
     auto step_sim = CountSimulation::adversarial_start(weights, kNAgents);
     Xoshiro256 step_gen(static_cast<std::uint64_t>(1'000 + r));
-    step_sim.run_to(kWindow, step_gen);
+    step_sim.advance_with(Engine::kStep, kWindow, step_gen);
     light_step.push_back(step_sim.total_light());
     dark0_step.push_back(step_sim.dark(0));
 
     auto batch_sim = CountSimulation::adversarial_start(weights, kNAgents);
     Xoshiro256 batch_gen(static_cast<std::uint64_t>(900'000 + r));
-    batch_sim.run_batched(kWindow, batch_gen);
+    batch_sim.advance_with(Engine::kBatch, kWindow, batch_gen);
     light_batch.push_back(batch_sim.total_light());
     dark0_batch.push_back(batch_sim.dark(0));
   }

@@ -19,6 +19,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -57,7 +58,7 @@ TEST(CheckpointV2, HexfloatsRoundTripBitExactly) {
   const double w1 = 2.0 + 1e-13;
   CountSimulation sim(WeightMap({w0, w1}), {40, 30}, {20, 10});
   Xoshiro256 gen(17);
-  sim.run_auto(5000, gen);
+  sim.advance_with(Engine::kAuto, 5000, gen);
   const std::string blob = divpp::core::to_checkpoint_v2(sim, gen);
   auto resumed = divpp::core::resume_run_from_checkpoint(blob);
   EXPECT_EQ(std::memcmp(resumed.sim.weights().weights().data(),
@@ -97,7 +98,8 @@ TEST(CheckpointV2, PendingEventsRoundTripAndRebind) {
     auto unbound = divpp::core::resume_run_from_checkpoint(blob);
     EXPECT_EQ(unbound.sim.pending_event_schedule(),
               sim.pending_event_schedule());
-    EXPECT_THROW(unbound.sim.run_to(600, unbound.gen), std::logic_error);
+    EXPECT_THROW(unbound.sim.advance_with(Engine::kStep, 600, unbound.gen),
+                 std::logic_error);
   }
 
   // Rebound events make the resumed run bit-identical to the original.
@@ -108,8 +110,8 @@ TEST(CheckpointV2, PendingEventsRoundTripAndRebind) {
       h2, [](CountSimulation& s) { s.add_agents(1, 2, false); }));
   EXPECT_FALSE(
       resumed.sim.rebind_scheduled_event(777, [](CountSimulation&) {}));
-  sim.run_to(1000, gen);
-  resumed.sim.run_to(1000, resumed.gen);
+  sim.advance_with(Engine::kStep, 1000, gen);
+  resumed.sim.advance_with(Engine::kStep, 1000, resumed.gen);
   EXPECT_EQ(divpp::core::to_checkpoint_v2(resumed.sim, resumed.gen),
             divpp::core::to_checkpoint_v2(sim, gen));
 }
@@ -119,7 +121,7 @@ TEST(CheckpointV2, TaggedRoundTripAndKindMismatch) {
   TaggedCountSimulation tagged(
       CountSimulation::equal_start(WeightMap({1.0, 2.0}), 100), 1, true);
   Xoshiro256 gen(31);
-  tagged.run_batched(2000, gen);
+  tagged.advance_with(Engine::kBatch, 2000, gen);
   const std::string blob = divpp::core::to_checkpoint_v2(tagged, gen);
   EXPECT_TRUE(divpp::core::checkpoint_v2_is_tagged(blob));
   auto resumed = divpp::core::resume_tagged_run_from_checkpoint(blob);

@@ -145,7 +145,7 @@ TEST(CountSimulation, ActiveProbabilityMatchesEmpiricalRate) {
   auto sim = CountSimulation::equal_start(weights, 64);
   Xoshiro256 gen(3);
   // Warm up to a generic configuration.
-  sim.run_to(2000, gen);
+  sim.advance_with(Engine::kStep, 2000, gen);
   const double p = sim.active_probability();
   // Estimate the one-step active probability by repeated trial from the
   // same state (copy the simulation each time).
@@ -163,12 +163,12 @@ TEST(CountSimulation, RunToAndAdvanceToRespectTargets) {
   auto a = CountSimulation::equal_start(weights, 32);
   auto b = CountSimulation::equal_start(weights, 32);
   Xoshiro256 gen(4);
-  a.run_to(123, gen);
+  a.advance_with(Engine::kStep, 123, gen);
   EXPECT_EQ(a.time(), 123);
-  b.advance_to(123, gen);
+  b.advance_with(Engine::kJump, 123, gen);
   EXPECT_EQ(b.time(), 123);
-  EXPECT_THROW(a.run_to(50, gen), std::invalid_argument);
-  EXPECT_THROW(b.advance_to(50, gen), std::invalid_argument);
+  EXPECT_THROW(a.advance_with(Engine::kStep, 50, gen), std::invalid_argument);
+  EXPECT_THROW(b.advance_with(Engine::kJump, 50, gen), std::invalid_argument);
 }
 
 TEST(CountSimulation, JumpChainMatchesPlainChainDistribution) {
@@ -185,10 +185,10 @@ TEST(CountSimulation, JumpChainMatchesPlainChainDistribution) {
     Xoshiro256 gen_plain(1000 + static_cast<std::uint64_t>(r));
     Xoshiro256 gen_jump(9000 + static_cast<std::uint64_t>(r));
     auto a = CountSimulation::equal_start(weights, kN);
-    a.run_to(kT, gen_plain);
+    a.advance_with(Engine::kStep, kT, gen_plain);
     plain.add(static_cast<double>(a.support(0)));
     auto b = CountSimulation::equal_start(weights, kN);
-    b.advance_to(kT, gen_jump);
+    b.advance_with(Engine::kJump, kT, gen_jump);
     jump.add(static_cast<double>(b.support(0)));
   }
   // Means within 3 combined standard errors.
@@ -205,7 +205,7 @@ TEST(CountSimulation, ConvergesToFairSharesFromAdversarialStart) {
   auto sim = CountSimulation::adversarial_start(weights, 1000);
   Xoshiro256 gen(5);
   // W = 8; run well past W² n log n.
-  sim.advance_to(900'000, gen);
+  sim.advance_with(Engine::kJump, 900'000, gen);
   for (divpp::core::ColorId i = 0; i < 3; ++i) {
     const double share = static_cast<double>(sim.support(i)) / 1000.0;
     EXPECT_NEAR(share, weights.fair_share(i), 0.08) << "colour " << i;
@@ -223,7 +223,7 @@ TEST(CountSimulation, AbsorbedConfigurationJumpsToTarget) {
   CountSimulation sim(weights, {1, 1}, {0, 0});
   Xoshiro256 gen(6);
   EXPECT_EQ(sim.active_probability(), 0.0);
-  sim.advance_to(1'000'000'000, gen);
+  sim.advance_with(Engine::kJump, 1'000'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000'000);
   EXPECT_EQ(sim.dark(0), 1);
   EXPECT_EQ(sim.dark(1), 1);
@@ -285,9 +285,9 @@ TEST(CountSimulation, NewColorSpreadsAfterInjection) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(7);
-  sim.advance_to(50'000, gen);
+  sim.advance_with(Engine::kJump, 50'000, gen);
   sim.add_color(2.0, 1);  // one dark agent of a brand-new heavy colour
-  sim.advance_to(600'000, gen);
+  sim.advance_with(Engine::kJump, 600'000, gen);
   // New fair share = 2/4 = 1/2 of (n = 301).
   const double share = static_cast<double>(sim.support(2)) /
                        static_cast<double>(sim.n());
@@ -371,6 +371,29 @@ TEST(TaggedCountSimulation, ConstructionRequiresMatchingAgent) {
                std::invalid_argument);
 }
 
+TEST(TaggedCountSimulation, RefusesASimulationWithPendingEvents) {
+  // A tagged run holds the tagged agent out of the counts and cannot
+  // fire events, so it would skip one scheduled at t = 500 and leave a
+  // checkpoint whose event lies before its clock.  Refuse up front.
+  auto sim = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 200);
+  int fired = 0;
+  const std::int64_t handle =
+      sim.schedule_event(500, [&](CountSimulation&) { ++fired; });
+  EXPECT_THROW(TaggedCountSimulation(sim, 0, /*tagged_dark=*/true),
+               std::invalid_argument);
+
+  // Without the event the same start tags, runs, and round-trips through
+  // a v2 checkpoint.
+  ASSERT_TRUE(sim.cancel_scheduled_event(handle));
+  TaggedCountSimulation tagged(sim, 0, /*tagged_dark=*/true);
+  Xoshiro256 gen(15);
+  tagged.advance_with(Engine::kJump, 1000, gen);
+  const auto resumed = divpp::core::resume_tagged_run_from_checkpoint(
+      divpp::core::to_checkpoint_v2(tagged, gen));
+  EXPECT_EQ(resumed.sim.time(), 1000);
+  EXPECT_EQ(fired, 0);
+}
+
 TEST(TaggedCountSimulation, CountsStayConsistentWithTaggedState) {
   const WeightMap weights({1.0, 2.0});
   auto base = CountSimulation::equal_start(weights, 24);
@@ -398,10 +421,20 @@ TEST(TaggedCountSimulation, TaggedOccupancyApproachesStationary) {
   Xoshiro256 gen(9);
   std::int64_t time_on_color1 = 0;
   constexpr std::int64_t kHorizon = 400'000;
-  sim.run_observed(kHorizon, gen,
-                   [&](std::int64_t, divpp::core::AgentState s) {
-                     if (s.color == 1) ++time_on_color1;
-                   });
+  // Each change books the steps the previous colour held (the pre-step
+  // state of every step in [0, kHorizon)).
+  divpp::core::ColorId held = sim.tagged_state().color;
+  std::int64_t held_since = 0;
+  const auto book = [&](std::int64_t until) {
+    if (held == 1) time_on_color1 += until - held_since;
+    held_since = until;
+  };
+  sim.run_changes(Engine::kStep, kHorizon, gen,
+                  [&](std::int64_t pre_step, AgentState s) {
+                    book(pre_step + 1);
+                    held = s.color;
+                  });
+  book(kHorizon);
   const double fraction =
       static_cast<double>(time_on_color1) / static_cast<double>(kHorizon);
   EXPECT_NEAR(fraction, 0.75, 0.08);
@@ -434,7 +467,7 @@ TEST(ParseEngine, RejectsUnknownTokensNamingTheValidSet) {
 // ---- auto engine -----------------------------------------------------------
 
 TEST(AutoEngine, TinyPopulationDelegatesToJumpBitIdentically) {
-  // Below the batch fallback size run_auto always picks the jump chain,
+  // Below the batch fallback size kAuto always picks the jump chain,
   // so with equal seeds the trajectories and generator states must match
   // draw for draw.
   const WeightMap weights({1.0, 2.0, 4.0});
@@ -444,8 +477,8 @@ TEST(AutoEngine, TinyPopulationDelegatesToJumpBitIdentically) {
   Xoshiro256 auto_gen(31);
   for (int window = 0; window < 5; ++window) {
     const std::int64_t target = (window + 1) * 3'000;
-    jump_sim.advance_to(target, jump_gen);
-    auto_sim.run_auto(target, auto_gen);
+    jump_sim.advance_with(Engine::kJump, target, jump_gen);
+    auto_sim.advance_with(Engine::kAuto, target, auto_gen);
     ASSERT_EQ(jump_gen, auto_gen) << "window " << window;
     for (divpp::core::ColorId c = 0; c < 3; ++c) {
       ASSERT_EQ(jump_sim.dark(c), auto_sim.dark(c));
@@ -462,7 +495,7 @@ TEST(AutoEngine, EwmaTracksMeasuredActiveFraction) {
   EXPECT_DOUBLE_EQ(sim.active_fraction_estimate(),
                    sim.active_probability());
   const std::int64_t t0 = sim.active_transitions();
-  sim.run_auto(100'000, gen);
+  sim.advance_with(Engine::kAuto, 100'000, gen);
   const double measured =
       static_cast<double>(sim.active_transitions() - t0) / 100'000.0;
   // One window: EWMA == measured fraction exactly (cold start).
@@ -472,7 +505,7 @@ TEST(AutoEngine, EwmaTracksMeasuredActiveFraction) {
   // A second window folds in with decay 1/2, so the estimate stays
   // between the old estimate and the new window's fraction.
   const std::int64_t t1 = sim.active_transitions();
-  sim.run_auto(200'000, gen);
+  sim.advance_with(Engine::kAuto, 200'000, gen);
   const double second =
       static_cast<double>(sim.active_transitions() - t1) / 100'000.0;
   const double blended = 0.5 * measured + 0.5 * second;
@@ -491,9 +524,9 @@ TEST(AutoEngine, ActiveTransitionCountsAgreeAcrossEngines) {
   Xoshiro256 step_gen(33);
   Xoshiro256 jump_gen(33);
   Xoshiro256 batch_gen(33);
-  step_sim.run_to(50'000, step_gen);
-  jump_sim.advance_to(50'000, jump_gen);
-  batch_sim.run_batched(50'000, batch_gen);
+  step_sim.advance_with(Engine::kStep, 50'000, step_gen);
+  jump_sim.advance_with(Engine::kJump, 50'000, jump_gen);
+  batch_sim.advance_with(Engine::kBatch, 50'000, batch_gen);
   const auto step_count = static_cast<double>(step_sim.active_transitions());
   EXPECT_GT(step_count, 0);
   EXPECT_NEAR(static_cast<double>(jump_sim.active_transitions()),
@@ -544,7 +577,7 @@ TEST(ScheduledEvents, MidWindowEventInLargeBatchedWindow) {
     fired_at = s.time();
     s.add_color(2.0, 5);
   });
-  sim.run_batched(150'000, gen);
+  sim.advance_with(Engine::kBatch, 150'000, gen);
   EXPECT_EQ(fired_at, kEventTime);
   EXPECT_EQ(sim.num_colors(), 5);
   EXPECT_EQ(sim.time(), 150'000);
@@ -560,7 +593,7 @@ TEST(ScheduledEvents, OrderAndPendingSemantics) {
   sim.schedule_event(2'000, [&](CountSimulation&) { order.push_back(3); });
   sim.schedule_event(90'000, [&](CountSimulation&) { order.push_back(9); });
   EXPECT_EQ(sim.pending_event_count(), 4);
-  sim.advance_to(5'000, gen);
+  sim.advance_with(Engine::kJump, 5'000, gen);
   // Time order, ties in registration order; the far event stays queued.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.pending_event_count(), 1);
@@ -578,7 +611,7 @@ TEST(ScheduledEvents, OrderAndPendingSemantics) {
   EXPECT_TRUE(sim.cancel_scheduled_event(handle));
   EXPECT_FALSE(sim.cancel_scheduled_event(handle));
   EXPECT_EQ(sim.pending_event_count(), 1);
-  sim.advance_to(95'000, gen);
+  sim.advance_with(Engine::kJump, 95'000, gen);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 9}));
 }
 
@@ -586,10 +619,10 @@ TEST(ScheduledEvents, EventAtCurrentTimeFiresBeforeStepping) {
   const WeightMap weights({1.0, 2.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(37);
-  sim.run_to(500, gen);
+  sim.advance_with(Engine::kStep, 500, gen);
   std::int64_t fired_at = -1;
   sim.schedule_event(500, [&](CountSimulation& s) { fired_at = s.time(); });
-  sim.run_to(600, gen);
+  sim.advance_with(Engine::kStep, 600, gen);
   EXPECT_EQ(fired_at, 500);
 }
 

@@ -26,6 +26,7 @@ namespace {
 
 using divpp::core::AgentState;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::kDark;
 using divpp::core::kLight;
 using divpp::core::WeightMap;
@@ -62,7 +63,7 @@ TEST(EdgeCases, ExtremeWeightRatioStillSustains) {
   auto sim = CountSimulation::proportional_start(weights, 500);
   Xoshiro256 gen(2);
   for (int burst = 0; burst < 100; ++burst) {
-    sim.advance_to(sim.time() + 5000, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 5000, gen);
     ASSERT_GE(sim.dark(0), 1);
     ASSERT_GE(sim.dark(1), 1);
   }
@@ -78,7 +79,7 @@ TEST(EdgeCases, ManyColoursSmokeTest) {
                                               1.0));
   auto sim = CountSimulation::equal_start(weights, 2048);
   Xoshiro256 gen(3);
-  sim.advance_to(200'000, gen);
+  sim.advance_with(Engine::kJump, 200'000, gen);
   EXPECT_GE(sim.min_dark(), 1);
   std::int64_t total = 0;
   for (divpp::core::ColorId i = 0; i < k; ++i) total += sim.support(i);
@@ -92,8 +93,8 @@ TEST(EdgeCases, AdvanceToCurrentTimeIsNoOp) {
   const auto dark_before =
       std::vector<std::int64_t>(sim.dark_counts().begin(),
                                 sim.dark_counts().end());
-  sim.advance_to(sim.time(), gen);
-  sim.run_to(sim.time(), gen);
+  sim.advance_with(Engine::kJump, sim.time(), gen);
+  sim.advance_with(Engine::kStep, sim.time(), gen);
   EXPECT_EQ(sim.time(), 0);
   EXPECT_EQ(std::vector<std::int64_t>(sim.dark_counts().begin(),
                                       sim.dark_counts().end()),
@@ -137,7 +138,7 @@ TEST(EdgeCases, WeightOneDerandomisedMatchesRandomizedChain) {
   for (int r = 0; r < kReplicas; ++r) {
     Xoshiro256 g1(1000 + static_cast<std::uint64_t>(r));
     CountSimulation a(weights, {16, 16}, {0, 0});
-    a.run_to(kT, g1);
+    a.advance_with(Engine::kStep, kT, g1);
     randomized.add(static_cast<double>(a.support(0)));
     Xoshiro256 g2(3000 + static_cast<std::uint64_t>(r));
     auto b = divpp::core::DerandomisedCountSimulation::top_start(
@@ -161,7 +162,7 @@ TEST(EdgeCases, AllLightPopulationIsAbsorbing) {
     (void)sim.step(gen);
     ASSERT_EQ(sim.total_light(), 10);
   }
-  sim.advance_to(1'000'000, gen);
+  sim.advance_with(Engine::kJump, 1'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000);
 }
 
@@ -217,10 +218,10 @@ TEST(EdgeCases, RecolorVictimThenProtocolCannotResurrect) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 100);
   Xoshiro256 gen(10);
-  sim.advance_to(20'000, gen);
+  sim.advance_with(Engine::kJump, 20'000, gen);
   sim.recolor_all(0, 1);
   ASSERT_EQ(sim.support(0), 0);
-  sim.advance_to(200'000, gen);
+  sim.advance_with(Engine::kJump, 200'000, gen);
   EXPECT_EQ(sim.support(0), 0);
 }
 

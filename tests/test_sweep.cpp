@@ -24,8 +24,10 @@
 #include "core/weights.h"
 #include "fault/durable_file.h"
 #include "fault/fault.h"
+#include "io/json.h"
 #include "rng/xoshiro.h"
 #include "runtime/durable_runner.h"
+#include "runtime/supervisor.h"
 #include "runtime/sweep_runner.h"
 
 namespace {
@@ -36,6 +38,7 @@ using divpp::core::WeightMap;
 using divpp::fault::FaultKind;
 using divpp::fault::FaultSchedule;
 using divpp::fault::FaultSpec;
+using divpp::io::json_quote;
 using divpp::rng::Xoshiro256;
 using divpp::runtime::DurableRunConfig;
 using divpp::runtime::run_windows;
@@ -45,6 +48,7 @@ using divpp::runtime::ScenarioSpec;
 using divpp::runtime::SweepOptions;
 using divpp::runtime::SweepResult;
 using divpp::runtime::SweepRunner;
+using divpp::runtime::wire::encode_run;
 
 constexpr std::int64_t kPeriod = 1000;
 
@@ -269,20 +273,57 @@ TEST(Sweep, DrainMidSweepThenResumeFinishesBitIdentically) {
 }
 
 TEST(Sweep, ResumeRefusesMismatchedSpecs) {
-  std::vector<ScenarioSpec> specs = mixed_specs(3);
+  // A manifest is another sweep's record unless the scenario count and
+  // every deterministic field of every spec match: resuming under a new
+  // seed must not report the old seed's value as this seed's result.
+  const std::vector<ScenarioSpec> specs = mixed_specs(3);
   const std::string dir = ::testing::TempDir() + "divpp_sweep_mismatch";
   std::filesystem::remove_all(dir);
   SweepOptions options = sweep_options(2);
   options.sweep_dir = dir;
   SweepRunner runner(options);
-  (void)runner.run(specs, min_dark_statistic);
+  const SweepResult original = runner.run(specs, min_dark_statistic);
+  ASSERT_EQ(original.completed, 3);
 
-  specs[1].name = "imposter";
-  EXPECT_THROW((void)runner.resume(specs, min_dark_statistic),
-               std::invalid_argument);
-  specs.pop_back();
-  EXPECT_THROW((void)runner.resume(specs, min_dark_statistic),
-               std::invalid_argument);
+  std::atomic<int> executed{0};
+  const SweepRunner::Statistic counting = [&](const CountSimulation& sim) {
+    executed.fetch_add(1);
+    return min_dark_statistic(sim);
+  };
+  const auto mutated = [&](auto&& change) {
+    std::vector<ScenarioSpec> copy = specs;
+    change(copy);
+    return copy;
+  };
+  const struct {
+    const char* what;
+    std::vector<ScenarioSpec> specs;
+  } others[] = {
+      {"name", mutated([](auto& s) { s[1].name = "imposter"; })},
+      {"count", mutated([](auto& s) { s.pop_back(); })},
+      {"seed", mutated([](auto& s) { s[1].seed = 99; })},
+      {"population", mutated([](auto& s) { ++s[1].n; })},
+      {"target", mutated([](auto& s) { ++s[1].target_time; })},
+      {"engine", mutated([](auto& s) { s[1].engine = Engine::kStep; })},
+      {"start", mutated([](auto& s) {
+         s[1].start = ScenarioSpec::Start::kEqual;
+       })},
+      {"palette", mutated([](auto& s) {
+         s[1].weights = WeightMap({1.0, 2.0, 3.0000000000000004});
+       })},
+  };
+  for (const auto& other : others) {
+    EXPECT_THROW((void)runner.resume(other.specs, counting),
+                 std::invalid_argument)
+        << "a different " << other.what << " was resumed as the same sweep";
+  }
+  EXPECT_EQ(executed.load(), 0);
+
+  // The matching specs still resume, keeping the recorded results.
+  const SweepResult resumed = runner.resume(specs, counting);
+  EXPECT_EQ(executed.load(), 0);
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    EXPECT_EQ(resumed.scenarios[i].json, original.scenarios[i].json);
 }
 
 TEST(Sweep, CleanupOnSuccessKeepsTheQuarantinedCheckpoint) {
@@ -563,30 +604,38 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
     for (const std::string& l : mutated) out += l + "\n";
     return out;
   };
-  const std::string name0 = "\"" + specs[0].name + "\"";
+  // Scenario 0's recorded spec: its run-command encoding, json-quoted.
+  const auto quoted_spec = [](const ScenarioSpec& spec) {
+    return json_quote(encode_run(0, /*resuming=*/false, spec));
+  };
+  const std::string spec0 = quoted_spec(specs[0]);
+  ScenarioSpec imposter = specs[0];
+  imposter.name = "imposter";
   const struct {
     const char* what;
     std::string payload;
   } mutations[] = {
-      {"wrong format version", with_line(0, "divpp-sweep-v2 4")},
-      {"wrong scenario count", with_line(0, "divpp-sweep-v1 5")},
+      {"wrong format version", with_line(0, "divpp-sweep-v1 4")},
+      {"wrong scenario count", with_line(0, "divpp-sweep-v2 5")},
       {"garbage header", with_line(0, "divpp")},
       {"wrong line keyword", with_line(1, "scenariox 0 ok 1 0 0x0p+0 " +
-                                              name0 + " \"\"")},
+                                              spec0 + " \"\"")},
       {"wrong scenario index", with_line(1, "scenario 9 ok 1 0 0x0p+0 " +
-                                                name0 + " \"\"")},
+                                                spec0 + " \"\"")},
       {"unknown status", with_line(1, "scenario 0 exploded 1 0 0x0p+0 " +
-                                          name0 + " \"\"")},
+                                          spec0 + " \"\"")},
       {"negative attempts", with_line(1, "scenario 0 ok -1 0 0x0p+0 " +
-                                             name0 + " \"\"")},
+                                             spec0 + " \"\"")},
       {"non-numeric attempts", with_line(1, "scenario 0 ok abc 0 0x0p+0 " +
-                                                name0 + " \"\"")},
-      {"bad value hexfloat", with_line(1, "scenario 0 ok 1 0 zzz " + name0 +
+                                                spec0 + " \"\"")},
+      {"bad value hexfloat", with_line(1, "scenario 0 ok 1 0 zzz " + spec0 +
                                               " \"\"")},
-      {"unterminated name quote",
-       with_line(1, "scenario 0 ok 1 0 0x0p+0 \"" + specs[0].name + " \"\"")},
+      {"unterminated spec quote",
+       with_line(1, "scenario 0 ok 1 0 0x0p+0 " +
+                        spec0.substr(0, spec0.size() - 1) + " \"\"")},
       {"name of a different sweep",
-       with_line(1, "scenario 0 ok 1 0 0x0p+0 \"imposter\" \"\"")},
+       with_line(1, "scenario 0 ok 1 0 0x0p+0 " + quoted_spec(imposter) +
+                        " \"\"")},
       {"trailing junk on a scenario line", with_line(1, lines[1] + " junk")},
       {"missing end marker", with_line(5, "End")},
       {"trailing junk after end", text + "junk\n"},

@@ -1,8 +1,8 @@
 // Tests for the batched tagged engine (PR 5): the tagged-involvement
 // law pinned against Binomial(ℓ, 2/n) and uniform order statistics
-// through the public CollisionBatcher hook, the exclude-one-agent
-// advance entry, bit-identity of the small-population fallback, exact
-// segment accounting of run_changes against per-step attribution, the
+// through the public CollisionBatcher hook, bit-identity of the
+// small-population fallback, exact segment accounting of run_changes
+// against per-step attribution, the
 // headline two-sample law tests of the joint (tagged colour, tagged
 // shade, counts) distribution at fixed window boundaries — tagged
 // engines vs tagged-step at n = 2000, k ∈ {2, 8}, equal and skewed
@@ -180,45 +180,6 @@ TEST(TaggedInvolvementChiSquare, PositionsAreUniformOrderStatistics) {
   EXPECT_LT(chi_square(min_hits, min_pmf, pairs), chi2_crit(kWindow - 2));
 }
 
-// ---- advance_excluding ----------------------------------------------------
-
-TEST(AdvanceExcluding, BitIdenticalToManualHoldOut) {
-  const WeightMap weights({1.0, 2.0, 4.0});
-  CollisionBatcher a(weights);
-  CollisionBatcher b(weights);
-  Xoshiro256 gen_a(5);
-  Xoshiro256 gen_b(5);
-  std::vector<std::int64_t> dark_a = {400, 300, 300};
-  std::vector<std::int64_t> light_a = {50, 0, 0};
-  std::vector<std::int64_t> dark_b = dark_a;
-  std::vector<std::int64_t> light_b = light_a;
-  for (int round = 0; round < 200; ++round) {
-    const std::int64_t ca =
-        a.advance_excluding(dark_a, light_a, 1, /*excluded_dark=*/true, 500,
-                            gen_a);
-    --dark_b[1];
-    const std::int64_t cb = b.advance(dark_b, light_b, 500, gen_b);
-    ++dark_b[1];
-    ASSERT_EQ(ca, cb);
-    ASSERT_EQ(dark_a, dark_b);
-    ASSERT_EQ(light_a, light_b);
-    ASSERT_EQ(gen_a, gen_b);
-    ASSERT_GE(dark_a[1], 1);  // the held-out agent is never relocated
-  }
-}
-
-TEST(AdvanceExcluding, ValidatesArguments) {
-  const WeightMap weights({1.0, 2.0});
-  CollisionBatcher batcher(weights);
-  Xoshiro256 gen(6);
-  std::vector<std::int64_t> dark = {50, 50};
-  std::vector<std::int64_t> light = {0, 0};
-  EXPECT_THROW((void)batcher.advance_excluding(dark, light, 2, true, 10, gen),
-               std::out_of_range);
-  EXPECT_THROW((void)batcher.advance_excluding(dark, light, 0, false, 10, gen),
-               std::invalid_argument);  // light cell is empty
-}
-
 // ---- tagged engines: dispatch, conservation, fallback ---------------------
 
 TEST(TaggedEngines, AllEnginesAdvanceAndConserve) {
@@ -248,8 +209,9 @@ TEST(TaggedEngines, RejectsPastTarget) {
   auto base = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 1'000);
   TaggedCountSimulation sim(base, 0, true);
   Xoshiro256 gen(8);
-  sim.run_batched(100, gen);
-  EXPECT_THROW(sim.run_batched(50, gen), std::invalid_argument);
+  sim.advance_with(Engine::kBatch, 100, gen);
+  EXPECT_THROW(sim.advance_with(Engine::kBatch, 50, gen),
+               std::invalid_argument);
   EXPECT_THROW(sim.advance_with(Engine::kJump, 50, gen),
                std::invalid_argument);
 }
