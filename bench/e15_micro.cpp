@@ -201,7 +201,25 @@ void BM_FenwickCountsSample(benchmark::State& state) {
   const divpp::sampling::FenwickCounts tree(counts);
   for (auto _ : state) benchmark::DoNotOptimize(tree.sample(gen));
 }
-BENCHMARK(BM_FenwickCountsSample)->Arg(4)->Arg(64)->Arg(1024);
+BENCHMARK(BM_FenwickCountsSample)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32)->Arg(64)->Arg(1024);
+
+// The branch-free counting scan the count chain uses at or below its
+// scan/tree cutoff: same draw, same index as the tree above.
+void BM_ScanCountsSample(benchmark::State& state) {
+  Xoshiro256 gen(3);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(state.range(0)));
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = static_cast<std::int64_t>(i + 1);
+    total += counts[i];
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(divpp::sampling::scan_find_excluding(
+        counts, divpp::rng::uniform_below(gen, total), -1));
+}
+BENCHMARK(BM_ScanCountsSample)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32)->Arg(64);
 
 void BM_LinearSampleCounts(benchmark::State& state) {
   Xoshiro256 gen(3);
@@ -298,7 +316,8 @@ void BM_CountJumpAdvance(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_CountJumpAdvance)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_CountJumpAdvance)
+    ->Arg(8)->Arg(16)->Arg(20)->Arg(32)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_CountJumpAdvanceLinear(benchmark::State& state) {
   const auto k = state.range(0);

@@ -44,11 +44,50 @@ CountSimulation::CountSimulation(WeightMap weights,
   rebuild_derived();
 }
 
+namespace {
+
+/// Palettes up to this size draw classes by a branch-free scan over the
+/// flat counts (sampling::scan_find_excluding) and keep no count trees;
+/// larger ones use the FenwickCounts descent.  Both map every draw to the
+/// same colour, so the cutoff is invisible to trajectories.  Measured
+/// with e15_micro: per isolated draw the scan stops winning between 16
+/// and 20; in the jump chain, which also saves the tree upkeep, it wins
+/// at 20, ties at 32 and loses at 64.  16 keeps the k = 8 palettes of
+/// the benchmarks on the scan and the k = 20 golden table on the trees,
+/// so both layouts stay pinned.
+constexpr std::int64_t kPickClassLinearCutoff = 16;
+
+}  // namespace
+
+// The per-transition helpers (count_trees_live, find_color, apply_adopt,
+// apply_fade, on_dark_changed) are `inline` so they compile into the jump
+// chain's loop: out of line, their calls cost the tagged benchmark about
+// a tenth of its throughput.
+
+inline bool CountSimulation::count_trees_live() const noexcept {
+  return static_cast<std::int64_t>(dark_.size()) > kPickClassLinearCutoff;
+}
+
+inline ColorId CountSimulation::find_color(bool dark, std::int64_t target,
+                                           std::int64_t excluded)
+    const noexcept {
+  if (count_trees_live())
+    return static_cast<ColorId>(
+        (dark ? dark_tree_ : light_tree_).find_excluding(target, excluded));
+  return static_cast<ColorId>(
+      sampling::scan_find_excluding(dark ? dark_ : light_, target, excluded));
+}
+
 void CountSimulation::rebuild_derived() {
   const auto k = dark_.size();
   total_dark_ = std::accumulate(dark_.begin(), dark_.end(), std::int64_t{0});
-  dark_tree_.assign(dark_);
-  light_tree_.assign(light_);
+  if (count_trees_live()) {
+    dark_tree_.assign(dark_);
+    light_tree_.assign(light_);
+  } else {
+    dark_tree_ = sampling::FenwickCounts{};
+    light_tree_ = sampling::FenwickCounts{};
+  }
   inv_weight_.resize(k);
   dark_ge2_ = 0;
   std::vector<double> flips(k);
@@ -70,6 +109,11 @@ void CountSimulation::check_invariants() const {
   std::int64_t sum_dark = 0;
   std::int64_t sum_light = 0;
   std::int64_t ge2 = 0;
+  // Class draws read the count trees above the scan cutoff and the flat
+  // counts themselves below it, where the trees must stay empty.
+  const bool trees = count_trees_live();
+  SIM_DCHECK_EQ(dark_tree_.size(), trees ? static_cast<std::int64_t>(k) : 0);
+  SIM_DCHECK_EQ(light_tree_.size(), trees ? static_cast<std::int64_t>(k) : 0);
   for (std::size_t i = 0; i < k; ++i) {
     SIM_DCHECK_GE(dark_[i], 0);
     SIM_DCHECK_GE(light_[i], 0);
@@ -77,8 +121,11 @@ void CountSimulation::check_invariants() const {
     sum_light += light_[i];
     if (dark_[i] >= 2) ++ge2;
     // Derived sampling state in lockstep with the raw counts.
-    SIM_DCHECK_EQ(dark_tree_.get(static_cast<std::int64_t>(i)), dark_[i]);
-    SIM_DCHECK_EQ(light_tree_.get(static_cast<std::int64_t>(i)), light_[i]);
+    if (trees) {
+      SIM_DCHECK_EQ(dark_tree_.get(static_cast<std::int64_t>(i)), dark_[i]);
+      SIM_DCHECK_EQ(light_tree_.get(static_cast<std::int64_t>(i)),
+                    light_[i]);
+    }
     // Flip propensity f_i = A_i (A_i − 1) / w_i is recomputed exactly on
     // every dark change, so the leaf must match to the last bit.
     const double expected_flip = static_cast<double>(dark_[i]) *
@@ -89,8 +136,10 @@ void CountSimulation::check_invariants() const {
   }
   SIM_DCHECK_EQ(sum_dark + sum_light, n_);          // count conservation
   SIM_DCHECK_EQ(sum_dark, total_dark_);
-  SIM_DCHECK_EQ(sum_dark, dark_tree_.total());
-  SIM_DCHECK_EQ(sum_light, light_tree_.total());
+  if (trees) {
+    SIM_DCHECK_EQ(sum_dark, dark_tree_.total());
+    SIM_DCHECK_EQ(sum_light, light_tree_.total());
+  }
   SIM_DCHECK_EQ(ge2, dark_ge2_);
   // The flip total drifts by at most one rounding per incremental update
   // between FenwickPropensities' periodic exact rebuilds; k·2⁻⁵² relative
@@ -226,11 +275,6 @@ double CountSimulation::active_probability() const noexcept {
 
 namespace {
 
-/// Below this palette size a linear scan beats the Fenwick descent on
-/// constant factors.  Both map the same draw to the same category, so the
-/// choice is invisible to trajectories — tune freely.
-constexpr std::int64_t kPickClassLinearCutoff = 16;
-
 /// Below this size a collision batch covers only O(√n) interactions and
 /// its fixed per-batch overhead dominates; plain stepping wins and keeps
 /// step()'s draw sequence.  Distributionally the cutoff is invisible.
@@ -258,8 +302,10 @@ constexpr std::int64_t kTaggedInvolvementChunk = 1 << 22;
 // The jump constant is deliberately not re-fitted when the jump kernel
 // gets faster: a new value moves auto's jump/batch crossover, which
 // changes the engine — and so the RNG stream — auto picks in existing
-// runs.  Re-fitting is left to the runtime calibration of ROADMAP
-// item 2.
+// runs.  Auto must stay a pure function of the simulation state (never
+// fed by run-time timings), so a re-fit is an offline change of this
+// constant under the stream-moving rule: it re-captures the golden
+// streams in the same change.
 constexpr double kAutoJumpNsPerTransition = 70.0;
 constexpr double kAutoBatchNsBase = 1400.0;
 constexpr double kAutoBatchNsPerColor = 225.0;
@@ -282,51 +328,27 @@ CountSimulation::ClassPick CountSimulation::pick_class(
     rng::Xoshiro256& gen, std::int64_t total, const ClassPick* excluded) const {
   // Single uniform draw over the eligible agents, mapped dark-block-first.
   std::int64_t target = rng::uniform_below(gen, total);
-  const auto k = dark_.size();
-  if (static_cast<std::int64_t>(k) <= kPickClassLinearCutoff) {
-    for (std::size_t i = 0; i < k; ++i) {
-      std::int64_t available = dark_[i];
-      if (excluded != nullptr && excluded->dark &&
-          excluded->color == static_cast<ColorId>(i))
-        --available;
-      if (target < available) return {true, static_cast<ColorId>(i)};
-      target -= available;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      std::int64_t available = light_[i];
-      if (excluded != nullptr && !excluded->dark &&
-          excluded->color == static_cast<ColorId>(i))
-        --available;
-      if (target < available) return {false, static_cast<ColorId>(i)};
-      target -= available;
-    }
-    throw std::logic_error("CountSimulation::pick_class: inconsistent totals");
-  }
-  // Large palette: the same mapping found in O(log k) by Fenwick descent.
   const std::int64_t ex_dark =
       (excluded != nullptr && excluded->dark) ? excluded->color : -1;
   const std::int64_t dark_avail = total_dark_ - (ex_dark >= 0 ? 1 : 0);
-  if (target < dark_avail)
-    return {true,
-            static_cast<ColorId>(dark_tree_.find_excluding(target, ex_dark))};
+  if (target < dark_avail) return {true, find_color(true, target, ex_dark)};
   target -= dark_avail;
   const std::int64_t ex_light =
       (excluded != nullptr && !excluded->dark) ? excluded->color : -1;
   const std::int64_t light_avail = total_light() - (ex_light >= 0 ? 1 : 0);
   if (target >= light_avail)
     throw std::logic_error("CountSimulation::pick_class: inconsistent totals");
-  return {false,
-          static_cast<ColorId>(light_tree_.find_excluding(target, ex_light))};
+  return {false, find_color(false, target, ex_light)};
 }
 
-void CountSimulation::on_dark_changed(std::size_t i) noexcept {
+inline void CountSimulation::on_dark_changed(std::size_t i) noexcept {
   const std::int64_t d = dark_[i];
   flip_tree_.set(static_cast<std::int64_t>(i),
                  static_cast<double>(d) * static_cast<double>(d - 1) *
                      inv_weight_[i]);
 }
 
-void CountSimulation::apply_adopt(ColorId from, ColorId to) noexcept {
+inline void CountSimulation::apply_adopt(ColorId from, ColorId to) noexcept {
   const auto f = static_cast<std::size_t>(from);
   const auto t = static_cast<std::size_t>(to);
   // The adopting light initiator always lives in the counts, so a
@@ -336,26 +358,30 @@ void CountSimulation::apply_adopt(ColorId from, ColorId to) noexcept {
   SIM_ASSERT(light_[f] >= 1);
   ++active_transitions_;
   --light_[f];
-  light_tree_.add(from, -1);
   ++dark_[t];
-  dark_tree_.add(to, +1);
+  if (count_trees_live()) {
+    light_tree_.add(from, -1);
+    dark_tree_.add(to, +1);
+  }
   if (dark_[t] == 2) ++dark_ge2_;
   on_dark_changed(t);
   ++total_dark_;
 }
 
-void CountSimulation::apply_fade(ColorId i) noexcept {
+inline void CountSimulation::apply_fade(ColorId i) noexcept {
   const auto c = static_cast<std::size_t>(i);
   // The fading dark agent always lives in the counts (its pair partner
   // may be the held-out tagged agent, so >= 2 would over-assert).
   SIM_ASSERT(dark_[c] >= 1);
   ++active_transitions_;
   --dark_[c];
-  dark_tree_.add(i, -1);
   if (dark_[c] == 1) --dark_ge2_;
   on_dark_changed(c);
   ++light_[c];
-  light_tree_.add(i, +1);
+  if (count_trees_live()) {
+    dark_tree_.add(i, -1);
+    light_tree_.add(i, +1);
+  }
   --total_dark_;
 }
 
@@ -523,11 +549,10 @@ void CountSimulation::jump_to(std::int64_t target_time,
     const bool do_adopt =
         total_light() > 0 && (dark_ge2_ == 0 || pick < adopt_weight);
     if (do_adopt) {
-      const auto from =
-          static_cast<ColorId>(light_tree_.find(
-              rng::uniform_below(gen, total_light())));
-      const auto to = static_cast<ColorId>(
-          dark_tree_.find(rng::uniform_below(gen, total_dark_)));
+      const ColorId from =
+          find_color(false, rng::uniform_below(gen, total_light()), -1);
+      const ColorId to =
+          find_color(true, rng::uniform_below(gen, total_dark_), -1);
       apply_adopt(from, to);
     } else {
       const auto faded = static_cast<ColorId>(

@@ -18,12 +18,16 @@
 /// near equilibrium only a Θ(1/W) fraction of steps are active, so it is
 /// several times faster than stepping for long windows.
 ///
-/// Stepping and the jump chain run on the Fenwick samplers of
-/// sampling/fenwick.h: class draws and flip-propensity draws cost
-/// O(log k) per transition, and the adopt/flip propensities are
-/// maintained by O(1) deltas instead of an O(k) rebuild per active
-/// transition — the standard kinetic-Monte-Carlo organisation, which is
-/// what makes large-k sweeps (E17) tractable.
+/// Class draws (stepping, the jump chain, the tagged partner pick) scan
+/// the flat dark/light count arrays branch-free in O(k) for palettes up
+/// to 16 colours, where that beats a tree on constants and saves the
+/// tree upkeep per transition; larger palettes draw from Fenwick count
+/// trees in O(log k) (sampling/fenwick.h).  Both map every draw to the
+/// same colour, so the stream does not depend on the layout.  Flip-
+/// propensity draws always use a FenwickPropensities tree, and the
+/// adopt/flip propensities are maintained by O(1) deltas instead of an
+/// O(k) rebuild per active transition — the standard kinetic-Monte-Carlo
+/// organisation, which is what makes large-k sweeps (E17) tractable.
 ///
 /// TaggedCountSimulation additionally carries one distinguished agent
 /// through the lumped dynamics (exactly — see the class comment), which
@@ -62,7 +66,8 @@ struct CountStepOutcome {
 /// per call of CountSimulation::advance_with:
 ///  * kStep  — plain per-interaction stepping, a loop of step().
 ///  * kJump  — the jump chain: skips each no-op stretch with one
-///    geometric draw, O(log k) per active transition.
+///    geometric draw, then applies one active transition: O(k) class
+///    scans up to 16 colours, O(log k) tree descents above.
 ///  * kBatch — the collision-batch engine (batch/collision_batch.h):
 ///    applies whole collision-free stretches of distinct-agent
 ///    interactions in aggregate, amortised sub-constant work per
@@ -316,6 +321,14 @@ class CountSimulation {
   [[nodiscard]] ClassPick pick_class(rng::Xoshiro256& gen,
                                      std::int64_t total,
                                      const ClassPick* excluded) const;
+  /// Whether the palette is above the scan cutoff, where class draws
+  /// descend dark_tree_/light_tree_; at or below it the trees stay empty
+  /// and draws scan the flat counts.
+  [[nodiscard]] bool count_trees_live() const noexcept;
+  /// The colour owning position `target` among the dark (or light)
+  /// counts with one unit of colour `excluded` removed (-1: none).
+  [[nodiscard]] ColorId find_color(bool dark, std::int64_t target,
+                                   std::int64_t excluded) const noexcept;
 
   WeightMap weights_;
   std::vector<std::int64_t> dark_;
@@ -324,8 +337,10 @@ class CountSimulation {
   std::int64_t total_dark_ = 0;
   std::int64_t time_ = 0;
   // Derived sampling state, kept in lockstep with dark_/light_:
-  sampling::FenwickCounts dark_tree_;       // class draws over dark counts
-  sampling::FenwickCounts light_tree_;      // class draws over light counts
+  // Class-draw trees over dark/light counts; empty unless
+  // count_trees_live() (small palettes scan dark_/light_ directly).
+  sampling::FenwickCounts dark_tree_;
+  sampling::FenwickCounts light_tree_;
   sampling::FenwickPropensities flip_tree_; // f_i = A_i (A_i - 1) / w_i
   std::vector<double> inv_weight_;          // 1 / w_i
   std::int64_t dark_ge2_ = 0;               // #colours with dark_[i] >= 2

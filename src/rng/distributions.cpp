@@ -6,31 +6,13 @@
 
 namespace divpp::rng {
 
-std::int64_t uniform_below(Xoshiro256& gen, std::int64_t bound) {
-  if (bound < 1) throw std::invalid_argument("uniform_below: bound must be >= 1");
-  const auto range = static_cast<std::uint64_t>(bound);
-  // Lemire's multiply-shift with rejection: exact uniformity.
-  std::uint64_t x = gen();
-  __uint128_t m = static_cast<__uint128_t>(x) * range;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < range) {
-    const std::uint64_t threshold = (0 - range) % range;
-    while (low < threshold) {
-      x = gen();
-      m = static_cast<__uint128_t>(x) * range;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::int64_t>(m >> 64);
+void detail::throw_uniform_below_domain() {
+  throw std::invalid_argument("uniform_below: bound must be >= 1");
 }
 
 std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("uniform_int: lo must be <= hi");
   return lo + uniform_below(gen, hi - lo + 1);
-}
-
-double uniform01(Xoshiro256& gen) {
-  return static_cast<double>(gen() >> 11) * 0x1.0p-53;
 }
 
 bool bernoulli(Xoshiro256& gen, double p) {

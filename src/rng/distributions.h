@@ -20,15 +20,41 @@
 
 namespace divpp::rng {
 
+namespace detail {
+/// uniform_below's out-of-line throw for bound < 1.
+[[noreturn]] void throw_uniform_below_domain();
+}  // namespace detail
+
 /// Uniform draw from {0, 1, ..., bound-1}.  \pre bound >= 1.
-[[nodiscard]] std::int64_t uniform_below(Xoshiro256& gen, std::int64_t bound);
+/// \throws std::invalid_argument when bound < 1.
+/// Inline: it is the jump chain's per-transition class draw.
+[[nodiscard]] inline std::int64_t uniform_below(Xoshiro256& gen,
+                                                std::int64_t bound) {
+  if (bound < 1) detail::throw_uniform_below_domain();
+  const auto range = static_cast<std::uint64_t>(bound);
+  // Lemire's multiply-shift with rejection: exact uniformity.
+  std::uint64_t x = gen();
+  __uint128_t m = static_cast<__uint128_t>(x) * range;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < range) {
+    const std::uint64_t threshold = (0 - range) % range;
+    while (low < threshold) {
+      x = gen();
+      m = static_cast<__uint128_t>(x) * range;
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::int64_t>(m >> 64);
+}
 
 /// Uniform draw from {lo, ..., hi} inclusive.  \pre lo <= hi.
 [[nodiscard]] std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo,
                                        std::int64_t hi);
 
 /// Uniform double in [0, 1) with 53 random mantissa bits.
-[[nodiscard]] double uniform01(Xoshiro256& gen);
+[[nodiscard]] inline double uniform01(Xoshiro256& gen) {
+  return static_cast<double>(gen() >> 11) * 0x1.0p-53;
+}
 
 /// Bernoulli trial; returns true with probability p (clamped to [0,1]).
 [[nodiscard]] bool bernoulli(Xoshiro256& gen, double p);

@@ -32,8 +32,19 @@ class Xoshiro256 {
   /// Seeds the four 64-bit words of state from \p seed via splitmix64.
   explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
-  /// Produces the next 64 random bits.
-  result_type operator()() noexcept;
+  /// Produces the next 64 random bits.  Inline: every engine draw
+  /// goes through it.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Smallest value produced (UniformRandomBitGenerator requirement).
   [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
@@ -67,6 +78,11 @@ class Xoshiro256 {
   friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x,
+                                                    int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

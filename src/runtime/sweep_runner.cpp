@@ -29,6 +29,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kManifest = "sweep manifest";
 constexpr std::string_view kManifestHeader = "divpp-sweep-v2 ";
+constexpr std::string_view kPeriodField = " period ";
 
 int parse_int(const std::string& text) {
   std::size_t used = 0;
@@ -469,11 +470,16 @@ void SweepRunner::run_scenario(std::size_t index, const ScenarioSpec& spec,
       /*on_boundary=*/nullptr, report);
 }
 
+std::string SweepRunner::manifest_header(std::size_t scenarios) const {
+  return std::string(kManifestHeader) + std::to_string(scenarios) +
+         std::string(kPeriodField) +
+         std::to_string(options_.checkpoint_period);
+}
+
 void SweepRunner::write_manifest(
     const std::vector<ScenarioSpec>& specs,
     const std::vector<ScenarioReport>& reports) const {
-  std::string text =
-      std::string(kManifestHeader) + std::to_string(specs.size()) + "\n";
+  std::string text = manifest_header(specs.size()) + "\n";
   // Each line records its scenario's whole spec (every deterministic
   // field, in the supervisor's run-command encoding): resume() keeps a
   // recorded result only for a spec equal to it byte for byte.
@@ -507,11 +513,24 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
         "sweep manifest: expected " + std::to_string(specs.size()) +
         " scenarios, found " +
         std::to_string(lines.size() < 2 ? 0 : lines.size() - 2));
-  const std::string header =
-      std::string(kManifestHeader) + std::to_string(specs.size());
-  if (lines.front() != header)
+  // The header pins the checkpoint period as well as the scenario count:
+  // run_windows canonicalises at every boundary and the auto engine
+  // re-decides per window, so another period gives other results, and a
+  // recorded "ok" value would no longer be this runner's value.
+  const std::string header = manifest_header(specs.size());
+  if (lines.front() != header) {
+    const std::string prefix = std::string(kManifestHeader) +
+                               std::to_string(specs.size()) +
+                               std::string(kPeriodField);
+    if (lines.front().starts_with(prefix))
+      throw std::invalid_argument(
+          "sweep manifest: header '" + lines.front() +
+          "' records another checkpoint period than this runner's " +
+          std::to_string(options_.checkpoint_period) +
+          " — refusing to resume a different sweep");
     throw std::invalid_argument("sweep manifest: bad header '" +
                                 lines.front() + "'");
+  }
   if (lines.back() != "end")
     throw std::invalid_argument("sweep manifest: missing end marker");
 

@@ -40,9 +40,10 @@
 ///  - **Drain.** request_drain() (callable from any thread) stops
 ///    admission and parks every in-flight scenario at its next
 ///    checkpoint boundary — already persisted durably — then writes a
-///    sweep manifest that records every scenario's full spec.  resume()
-///    reloads the manifest, refuses it unless each recorded spec equals
-///    the new one byte for byte, keeps finished results bit-identically,
+///    sweep manifest that records the checkpoint period and every
+///    scenario's full spec.  resume() reloads the manifest, refuses it
+///    unless the period and each recorded spec equal the new ones byte
+///    for byte, keeps finished results bit-identically,
 ///    and finishes drained/pending scenarios from their checkpoints; the
 ///    combined results are bit-identical to an uninterrupted run
 ///    (period-aligned boundaries, see runtime/durable_runner.h).
@@ -244,7 +245,8 @@ class SweepRunner {
   /// drained scenarios continue from their durable checkpoints (or from
   /// scratch when none was written — same stream, same result).
   /// \throws std::invalid_argument when sweep_dir is empty or the
-  /// manifest does not match `specs` (count, or any field of any spec);
+  /// manifest does not match `specs` (count, or any field of any spec)
+  /// or this runner's checkpoint_period (the period changes results);
   /// fault::DurableFileError when the manifest is missing or corrupt.
   SweepResult resume(const std::vector<ScenarioSpec>& specs,
                      const Statistic& statistic);
@@ -277,6 +279,8 @@ class SweepRunner {
                     const fault::FaultSchedule* faults, bool resuming,
                     ScenarioReport& report);
   [[nodiscard]] std::string manifest_path() const;
+  /// "divpp-sweep-v2 <scenarios> period <checkpoint_period>".
+  [[nodiscard]] std::string manifest_header(std::size_t scenarios) const;
   void write_manifest(const std::vector<ScenarioSpec>& specs,
                       const std::vector<ScenarioReport>& reports) const;
   /// Fills reports/finished from the manifest.  \throws on mismatch.

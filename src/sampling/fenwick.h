@@ -104,6 +104,31 @@ class FenwickCounts {
   std::int64_t cap_ = 0;  // power-of-two capacity >= size()
 };
 
+/// The flat-array twin of FenwickCounts::find_excluding: the category
+/// owning position `target` among `counts` with one unit removed from
+/// category `excluded` (-1 for none), found by a branch-free counting
+/// scan — every running prefix that does not exceed `target` moves the
+/// index one category right.  Returns the same index as the tree for
+/// every target, so swapping one for the other cannot move a stream;
+/// for small k the O(k) scan with no data-dependent branch beats the
+/// O(log k) descent and needs no tree upkeep on updates.
+/// \pre counts non-empty; 0 <= target < sum(counts) - (excluded >= 0);
+/// counts[excluded] >= 1 when excluded >= 0.
+[[nodiscard]] inline std::int64_t scan_find_excluding(
+    std::span<const std::int64_t> counts, std::int64_t target,
+    std::int64_t excluded) noexcept {
+  const auto k = static_cast<std::int64_t>(counts.size());
+  std::int64_t sum = 0;
+  std::int64_t index = 0;
+  for (std::int64_t i = 0; i < k; ++i) {
+    sum += counts[static_cast<std::size_t>(i)] -
+           static_cast<std::int64_t>(i == excluded);
+    index += static_cast<std::int64_t>(sum <= target);
+  }
+  // The tree's clamp, so even an out-of-range target maps identically.
+  return std::min(index, k - 1);
+}
+
 /// Fenwick tree over non-negative double propensities.  Point updates are
 /// applied as deltas; every `k` updates the internal nodes are rebuilt
 /// from the exactly-stored leaves, so rounding drift never accumulates

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -293,6 +294,40 @@ TEST(CountSimulation, NewColorSpreadsAfterInjection) {
                        static_cast<double>(sim.n());
   EXPECT_NEAR(share, 0.5, 0.12);
   EXPECT_GE(sim.min_dark(), 1);
+}
+
+TEST(CountSimulation, JumpRunGrowingPastTheScanCutoffKeepsItsStream) {
+  // Up to 16 colours the class draws scan the flat counts and keep no
+  // trees; an add_color that takes the palette to 17 mid-run must build
+  // the Fenwick trees and continue the very same stream.  Pinned against
+  // the run before the scan existed (commit 41ca856, trees at every k).
+  std::vector<double> weights;
+  for (int i = 0; i < 16; ++i) weights.push_back(1.0 + (i % 4));
+  auto sim = CountSimulation::proportional_start(WeightMap(weights), 4000);
+  Xoshiro256 gen(0xc0ffee17ULL);
+  sim.schedule_event(40'000, [](CountSimulation& s) {
+    ASSERT_EQ(s.num_colors(), 16);
+    s.add_color(3.0, 40);
+  });
+  sim.advance_with(Engine::kJump, 200'000, gen);
+  ASSERT_EQ(sim.num_colors(), 17);
+  const std::vector<std::int64_t> dark = {100, 180, 298, 388, 102, 194,
+                                          278, 389, 96,  199, 290, 397,
+                                          92,  177, 293, 383, 86};
+  const std::vector<std::int64_t> light = {3, 4, 7, 6, 1, 8, 5, 13, 2,
+                                           1, 9, 12, 3, 5, 9, 10, 0};
+  EXPECT_EQ(std::vector<std::int64_t>(sim.dark_counts().begin(),
+                                      sim.dark_counts().end()),
+            dark);
+  EXPECT_EQ(std::vector<std::int64_t>(sim.light_counts().begin(),
+                                      sim.light_counts().end()),
+            light);
+  EXPECT_EQ(sim.time(), 200'000);
+  EXPECT_EQ(sim.active_transitions(), 9050);
+  const std::array<std::uint64_t, 4> state = {
+      0x591601ea3e5b9d2eULL, 0x67f0209fe8089962ULL, 0x40304c0f09b62155ULL,
+      0xf618c32ffc799749ULL};
+  EXPECT_EQ(gen.state(), state);
 }
 
 TEST(CountSimulation, MinDarkMatchesBruteForceAfterEveryMutator) {

@@ -153,6 +153,40 @@ TEST(FenwickCounts, FindExcludingMatchesAdjustedScan) {
   }
 }
 
+TEST(ScanFindExcluding, MatchesTheTreeOnEveryTargetAndExclusion) {
+  // The count chain draws classes by the counting scan at or below its
+  // scan/tree cutoff (16) and by the tree above it; trajectories are
+  // stream-identical across the cutoff only if both return the same
+  // index everywhere.  Exhaustive over k = 1..17, every exclusion
+  // (including none) and every target, on random count vectors over
+  // {0, 1, 2, 5} (zero cells land anywhere) plus one vector that is
+  // zero but for a single unit.
+  const std::int64_t cell_values[] = {0, 1, 2, 5};
+  for (std::int64_t k = 1; k <= 17; ++k) {
+    Xoshiro256 gen(0x5ca9ULL + static_cast<std::uint64_t>(k));
+    for (int trial = 0; trial < 24; ++trial) {
+      std::vector<std::int64_t> counts(static_cast<std::size_t>(k));
+      for (auto& c : counts)
+        c = cell_values[divpp::rng::uniform_below(gen, 4)];
+      if (trial == 0) std::fill(counts.begin(), counts.end(), 0);
+      counts[static_cast<std::size_t>(trial % k)] += 1;  // total >= 1
+      const FenwickCounts tree(counts);
+      for (std::int64_t excluded = -1; excluded < k; ++excluded) {
+        if (excluded >= 0 && counts[static_cast<std::size_t>(excluded)] == 0)
+          continue;
+        const std::int64_t available = tree.total() - (excluded >= 0 ? 1 : 0);
+        for (std::int64_t target = 0; target < available; ++target) {
+          ASSERT_EQ(divpp::sampling::scan_find_excluding(counts, target,
+                                                          excluded),
+                    tree.find_excluding(target, excluded))
+              << "k " << k << " trial " << trial << " excluded " << excluded
+              << " target " << target;
+        }
+      }
+    }
+  }
+}
+
 // ---- FenwickPropensities unit semantics -----------------------------------
 
 TEST(FenwickPropensities, TotalTracksUpdates) {

@@ -597,6 +597,8 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
     begin = end + 1;
   }
   ASSERT_EQ(lines.size(), 6U);
+  const std::string period = " period " + std::to_string(kPeriod);
+  ASSERT_EQ(lines[0], "divpp-sweep-v2 4" + period);
   const auto with_line = [&](std::size_t index, const std::string& line) {
     std::vector<std::string> mutated = lines;
     mutated[index] = line;
@@ -615,9 +617,16 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
     const char* what;
     std::string payload;
   } mutations[] = {
-      {"wrong format version", with_line(0, "divpp-sweep-v1 4")},
-      {"wrong scenario count", with_line(0, "divpp-sweep-v2 5")},
+      {"wrong format version", with_line(0, "divpp-sweep-v1 4" + period)},
+      {"wrong scenario count", with_line(0, "divpp-sweep-v2 5" + period)},
       {"garbage header", with_line(0, "divpp")},
+      {"header without a checkpoint period",
+       with_line(0, "divpp-sweep-v2 4")},
+      {"another checkpoint period",
+       with_line(0, "divpp-sweep-v2 4 period " + std::to_string(kPeriod + 1))},
+      {"non-numeric checkpoint period",
+       with_line(0, "divpp-sweep-v2 4 period abc")},
+      {"trailing junk after the period", with_line(0, lines[0] + " junk")},
       {"wrong line keyword", with_line(1, "scenariox 0 ok 1 0 0x0p+0 " +
                                               spec0 + " \"\"")},
       {"wrong scenario index", with_line(1, "scenario 9 ok 1 0 0x0p+0 " +
@@ -644,6 +653,14 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
   for (const auto& mutation : mutations)
     expect_refused(mutation.payload, mutation.what);
 
+  // The intact manifest under a runner with another checkpoint period.
+  divpp::fault::write_durable(manifest, text);
+  SweepOptions other_period = options;
+  other_period.checkpoint_period = kPeriod + 1;
+  EXPECT_THROW((void)SweepRunner(other_period).resume(specs, counting),
+               std::invalid_argument);
+  EXPECT_EQ(executed.load(), 0) << "half-resumed under another period";
+
   // Raw (unframed) garbage never even reaches the parser: the durable
   // layer rejects it as a torn/corrupt file.
   {
@@ -653,6 +670,45 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
   EXPECT_THROW((void)runner.resume(specs, counting),
                divpp::fault::DurableFileError);
   EXPECT_EQ(executed.load(), 0);
+}
+
+TEST(Sweep, ResumeRefusesAnotherCheckpointPeriod) {
+  // The period changes results: run_windows canonicalises at every
+  // boundary and the auto engine re-decides per window.  So a manifest
+  // written under one period must never lend its "ok" values to a
+  // runner with another — here 762 (period 1000) would have been
+  // reported where a period-777 sweep computes 712.
+  const std::vector<ScenarioSpec> specs{
+      scenario("period", 5000, /*seed=*/1, /*target=*/200'000, Engine::kAuto)};
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_period";
+  std::filesystem::remove_all(dir);
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  const SweepResult at_1000 = SweepRunner(options).run(specs, min_dark_statistic);
+  ASSERT_EQ(at_1000.completed, 1);
+
+  std::atomic<int> executed{0};
+  const SweepRunner::Statistic counting = [&](const CountSimulation& sim) {
+    executed.fetch_add(1);
+    return min_dark_statistic(sim);
+  };
+  options.checkpoint_period = 777;
+  SweepRunner at_777(options);
+  EXPECT_THROW((void)at_777.resume(specs, counting), std::invalid_argument);
+  EXPECT_EQ(executed.load(), 0);
+
+  // A fresh period-777 sweep computes its own value, and its manifest
+  // resumes under the same period without re-running anything.
+  std::filesystem::remove_all(dir);
+  const SweepResult fresh = at_777.run(specs, counting);
+  ASSERT_EQ(fresh.completed, 1);
+  EXPECT_EQ(at_1000.scenarios[0].value, 762.0);
+  EXPECT_EQ(fresh.scenarios[0].value, 712.0);
+  executed.store(0);
+  const SweepResult resumed = at_777.resume(specs, counting);
+  EXPECT_EQ(executed.load(), 0);
+  EXPECT_EQ(resumed.scenarios[0].json, fresh.scenarios[0].json);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, BackpressureBoundsTheQueueAndStillCompletes) {
