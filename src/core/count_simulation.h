@@ -303,10 +303,12 @@ class CountSimulation {
   /// The auto engine's cost-model decision for a window of `window`
   /// interactions (exposed to tests through kAuto's behaviour).
   [[nodiscard]] Engine pick_auto_engine(std::int64_t window) const noexcept;
-  void apply_adopt(ColorId from, ColorId to) noexcept;
-  void apply_fade(ColorId i) noexcept;
+  // The `inline` helpers below are defined in count_simulation.cpp, the
+  // only translation unit that calls them.
+  inline void apply_adopt(ColorId from, ColorId to) noexcept;
+  inline void apply_fade(ColorId i) noexcept;
   /// Updates the dark-count derived state after dark_[i] changed by ±1.
-  void on_dark_changed(std::size_t i) noexcept;
+  inline void on_dark_changed(std::size_t i) noexcept;
   /// Exact absorption test on integers, immune to rounding: an adopt
   /// needs a light initiator AND a dark responder; a fade needs a colour
   /// with two dark agents.
@@ -324,11 +326,11 @@ class CountSimulation {
   /// Whether the palette is above the scan cutoff, where class draws
   /// descend dark_tree_/light_tree_; at or below it the trees stay empty
   /// and draws scan the flat counts.
-  [[nodiscard]] bool count_trees_live() const noexcept;
+  [[nodiscard]] inline bool count_trees_live() const noexcept;
   /// The colour owning position `target` among the dark (or light)
   /// counts with one unit of colour `excluded` removed (-1: none).
-  [[nodiscard]] ColorId find_color(bool dark, std::int64_t target,
-                                   std::int64_t excluded) const noexcept;
+  [[nodiscard]] inline ColorId find_color(bool dark, std::int64_t target,
+                                          std::int64_t excluded) const noexcept;
 
   WeightMap weights_;
   std::vector<std::int64_t> dark_;

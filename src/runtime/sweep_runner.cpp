@@ -29,7 +29,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kManifest = "sweep manifest";
 constexpr std::string_view kManifestHeader = "divpp-sweep-v2 ";
-constexpr std::string_view kPeriodField = " period ";
 
 int parse_int(const std::string& text) {
   std::size_t used = 0;
@@ -472,8 +471,7 @@ void SweepRunner::run_scenario(std::size_t index, const ScenarioSpec& spec,
 
 std::string SweepRunner::manifest_header(std::size_t scenarios) const {
   return std::string(kManifestHeader) + std::to_string(scenarios) +
-         std::string(kPeriodField) +
-         std::to_string(options_.checkpoint_period);
+         " period " + std::to_string(options_.checkpoint_period);
 }
 
 void SweepRunner::write_manifest(
@@ -518,19 +516,10 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
   // re-decides per window, so another period gives other results, and a
   // recorded "ok" value would no longer be this runner's value.
   const std::string header = manifest_header(specs.size());
-  if (lines.front() != header) {
-    const std::string prefix = std::string(kManifestHeader) +
-                               std::to_string(specs.size()) +
-                               std::string(kPeriodField);
-    if (lines.front().starts_with(prefix))
-      throw std::invalid_argument(
-          "sweep manifest: header '" + lines.front() +
-          "' records another checkpoint period than this runner's " +
-          std::to_string(options_.checkpoint_period) +
-          " — refusing to resume a different sweep");
-    throw std::invalid_argument("sweep manifest: bad header '" +
-                                lines.front() + "'");
-  }
+  if (lines.front() != header)
+    throw std::invalid_argument("sweep manifest: header '" + lines.front() +
+                                "' does not match this runner's '" + header +
+                                "' — refusing to resume a different sweep");
   if (lines.back() != "end")
     throw std::invalid_argument("sweep manifest: missing end marker");
 
