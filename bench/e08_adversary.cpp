@@ -18,9 +18,8 @@
 #include <vector>
 
 #include "adversary/events.h"
-#include "analysis/convergence.h"
+#include "analysis/robustness.h"
 #include "core/count_simulation.h"
-#include "core/equilibrium.h"
 #include "core/population.h"
 #include "core/weights.h"
 #include "graph/topologies.h"
@@ -35,30 +34,23 @@ namespace {
 
 using divpp::adversary::Event;
 using divpp::core::CountSimulation;
-using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
 /// Settles, applies `event`, and measures re-entry into E(delta).
-/// Returns the recovery time normalised by W'² n' log n'.
+/// Returns the recovery time normalised by W'² n' log n', or NaN when the
+/// system has not recovered within the cap.
 double recovery(const Event& event, std::int64_t n, double delta,
                 std::uint64_t seed) {
-  const WeightMap weights({1.0, 2.0});
-  auto sim = CountSimulation::proportional_start(weights, n);
   Xoshiro256 gen(seed);
-  const auto settle = static_cast<std::int64_t>(
-      3.0 * divpp::core::convergence_time_scale(n, weights.total()));
-  sim.advance_with(Engine::kJump, settle, gen);
-  divpp::adversary::apply_event(sim, event);
-  const std::int64_t shock_time = sim.time();
-  const double post_scale =
-      divpp::core::convergence_time_scale(sim.n(), sim.weights().total());
-  const auto horizon =
-      shock_time + static_cast<std::int64_t>(50.0 * post_scale);
-  const std::int64_t recovered = divpp::analysis::time_to_equilibrium_region(
-      sim, delta, horizon, std::max<std::int64_t>(sim.n() / 8, 64), gen);
-  if (recovered < 0) return std::nan("");
-  return static_cast<double>(recovered - shock_time) / post_scale;
+  divpp::analysis::RecoveryConfig config;
+  config.delta = delta;
+  const divpp::analysis::RecoveryReport report =
+      divpp::analysis::measure_recovery(
+          CountSimulation::proportional_start(WeightMap({1.0, 2.0}), n),
+          event, config, gen);
+  if (!report.recovered) return std::nan("");
+  return report.normalised_recovery;
 }
 
 }  // namespace

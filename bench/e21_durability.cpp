@@ -15,7 +15,8 @@
 //                              max(4e6, n))
 //        --divisors=16,4,1    (periods = window / d; d=1 means one
 //                              checkpoint per window)
-//        --reps=3             (min-of-reps timing)
+//        --reps=3             (min-of-reps timing; raw and durable
+//                              runs interleaved, one of each per rep)
 //        --seed=99
 //        --ckpt=FILE          (checkpoint path; default under /tmp)
 //        --pr7-json=FILE      (machine-readable summary; BENCH_pr7.json
@@ -72,40 +73,30 @@ std::string default_ckpt_path() {
       .string();
 }
 
-/// min-of-reps ns/interaction for the raw batch engine over `window`.
-double baseline_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
-                   std::int64_t window, int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    CountSimulation sim = warmed;
-    Xoshiro256 gen = gen0;
-    const auto t0 = std::chrono::steady_clock::now();
-    sim.advance_with(Engine::kBatch, sim.time() + window, gen);
-    best = std::min(best,
-                    seconds_since(t0) * 1e9 / static_cast<double>(window));
-  }
-  return best;
+/// ns/interaction of one raw batch-engine run over `window`.
+double raw_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
+              std::int64_t window) {
+  CountSimulation sim = warmed;
+  Xoshiro256 gen = gen0;
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.advance_with(Engine::kBatch, sim.time() + window, gen);
+  return seconds_since(t0) * 1e9 / static_cast<double>(window);
 }
 
-/// min-of-reps ns/interaction of the durable run at `period`.
+/// ns/interaction of one durable run over `window` at `period`.
 double durable_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
-                  std::int64_t window, std::int64_t period, int reps,
+                  std::int64_t window, std::int64_t period,
                   const std::string& ckpt) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    CountSimulation sim = warmed;
-    Xoshiro256 gen = gen0;
-    DurableRunConfig config;
-    config.engine = Engine::kBatch;
-    config.target_time = sim.time() + window;
-    config.checkpoint_period = period;
-    config.checkpoint_path = ckpt;
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)divpp::runtime::run_windows(sim, gen, config);
-    best = std::min(best,
-                    seconds_since(t0) * 1e9 / static_cast<double>(window));
-  }
-  return best;
+  CountSimulation sim = warmed;
+  Xoshiro256 gen = gen0;
+  DurableRunConfig config;
+  config.engine = Engine::kBatch;
+  config.target_time = sim.time() + window;
+  config.checkpoint_period = period;
+  config.checkpoint_path = ckpt;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)divpp::runtime::run_windows(sim, gen, config);
+  return seconds_since(t0) * 1e9 / static_cast<double>(window);
 }
 
 int run_kill_resume(const divpp::io::Args& args) {
@@ -223,16 +214,31 @@ int main(int argc, char** argv) {
     warmed.advance_with(Engine::kBatch, std::min(window, n), gen);
     warmed.canonicalize();
 
-    const double raw = baseline_ns(warmed, gen, window, reps);
-    out.set("raw_ns_n" + std::to_string(n), raw);
+    std::vector<std::int64_t> periods;
     for (const std::int64_t d : divisors) {
       if (d < 1) {
         std::cerr << "e21_durability: --divisors entries must be >= 1\n";
         return 1;
       }
-      const std::int64_t period = std::max<std::int64_t>(1, window / d);
-      const double durable =
-          durable_ns(warmed, gen, window, period, reps, ckpt);
+      periods.push_back(std::max<std::int64_t>(1, window / d));
+    }
+    // Raw and durable runs are timed interleaved (raw, each period, raw,
+    // ...) and each keeps its min over the reps, so a slow or cold
+    // stretch of the host hits every column alike instead of the raw
+    // column alone.
+    double raw = 1e300;
+    std::vector<double> durables(periods.size(), 1e300);
+    for (int rep = 0; rep < reps; ++rep) {
+      raw = std::min(raw, raw_ns(warmed, gen, window));
+      for (std::size_t i = 0; i < periods.size(); ++i)
+        durables[i] = std::min(
+            durables[i], durable_ns(warmed, gen, window, periods[i], ckpt));
+    }
+    out.set("raw_ns_n" + std::to_string(n), raw);
+    for (std::size_t i = 0; i < periods.size(); ++i) {
+      const std::int64_t d = divisors[i];
+      const std::int64_t period = periods[i];
+      const double durable = durables[i];
       const double overhead = durable / raw - 1.0;
       table.begin_row()
           .add_cell(n)

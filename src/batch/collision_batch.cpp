@@ -165,9 +165,6 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
   outcome_.interactions = 0;
   outcome_.adopts = 0;
   outcome_.fades = 0;
-  outcome_.collision_adopt_from = -1;
-  outcome_.collision_adopt_to = -1;
-  outcome_.collision_fade = -1;
   outcome_.draws = -1;
 #ifdef SIM_CHECKED
   // Draw audit (Outcome::draws): replay-count the stream this advance
@@ -502,10 +499,6 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
     ++outcome_.adopts;
     ++outcome_.adopt_out[initiator.color];
     ++outcome_.adopt_in[responder.color];
-    outcome_.collision_adopt_from =
-        static_cast<std::int64_t>(initiator.color);
-    outcome_.collision_adopt_to =
-        static_cast<std::int64_t>(responder.color);
   } else if (initiator.is_dark && responder.is_dark &&
              initiator.color == responder.color) {
     if (rng::bernoulli(gen, inv_weight[initiator.color])) {
@@ -513,7 +506,6 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
       ++light[initiator.color];
       ++outcome_.fades;
       ++outcome_.fade_by_color[initiator.color];
-      outcome_.collision_fade = static_cast<std::int64_t>(initiator.color);
     }
   }
 }

@@ -166,8 +166,8 @@ class CollisionBatcher {
                                       std::vector<std::int64_t>& positions);
 
   /// The aggregate outcome of the most recent advance() — per-colour
-  /// adopt and fade margins, exposed so agent-level batching
-  /// (batch/agent_batch.h) and tests can replay the same count deltas.
+  /// adopt and fade margins, exposed so callers and tests can read the
+  /// count deltas of one batch.
   struct Outcome {
     std::int64_t interactions = 0;  ///< consumed, == advance()'s return
     std::int64_t adopts = 0;        ///< adopt transitions applied
@@ -178,16 +178,6 @@ class CollisionBatcher {
     std::vector<std::int64_t> adopt_in;
     /// fade_by_color[i] dark-i agents turned light-i.
     std::vector<std::int64_t> fade_by_color;
-    /// The collision interaction's own effect, already *included* in the
-    /// margins above, broken out because its initiator may be an agent
-    /// that changed class earlier in the same advance() — agent-level
-    /// resolution (batch/agent_batch.cpp) must replay it after the
-    /// batch phase.  Exactly one of the pairs is set when the collision
-    /// changed the state: an adopt (from = light colour, to = dark
-    /// colour) or a fade (colour), else all three stay -1.
-    std::int64_t collision_adopt_from = -1;
-    std::int64_t collision_adopt_to = -1;
-    std::int64_t collision_fade = -1;
     /// RNG draws the advance() consumed, audited by replay
     /// (check::draws_between): a checked build asserts that a single
     /// advance's stream consumption stays within the replay cap, i.e.

@@ -164,19 +164,6 @@ class Population {
     for (std::int64_t i = 0; i < steps; ++i) observer(step(gen));
   }
 
-  /// Bulk-mutation entry for whole-batch engines (batch/agent_batch.h):
-  /// applies `f(states)` to the mutable state vector, then advances the
-  /// clock by `steps`.  The callable must keep states().size() == n and
-  /// every state valid for the rule — it is trusted the way set_state
-  /// is, not revalidated per agent.
-  template <typename F>
-  void apply_batch(std::int64_t steps, F&& f) {
-    if (steps < 0)
-      throw std::invalid_argument("apply_batch: negative step count");
-    f(states_);
-    time_ += steps;
-  }
-
  private:
   /// One neighbour draw; resolved at compile time to the non-virtual
   /// inline fast path when the graph type provides one.

@@ -76,8 +76,8 @@ double chi2_crit(std::size_t df) {
   return d * t * t * t;
 }
 
-/// Histogram of `draws` calls to `sampler()` over support [lo, hi], with
-/// values outside lumped into the edge bins.
+/// Per-value counts of `draws` calls to `sampler()` over support
+/// [lo, hi], with values outside lumped into the edge bins.
 template <class Sampler>
 std::vector<std::int64_t> histogram(std::int64_t lo, std::int64_t hi,
                                     std::int64_t draws, Sampler&& sampler) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -12,14 +11,12 @@
 #include "analysis/convergence.h"
 #include "analysis/fairness.h"
 #include "core/count_simulation.h"
-#include "core/derandomised_count.h"
 #include "core/diversification.h"
 #include "core/population.h"
 #include "core/weights.h"
 #include "graph/topologies.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
-#include "stats/online_stats.h"
 #include "stats/potentials.h"
 
 namespace {
@@ -110,45 +107,6 @@ TEST(EdgeCases, ScheduleEventExactlyAtHorizonFires) {
   schedule.run(sim, 100, gen);
   EXPECT_EQ(sim.time(), 100);
   EXPECT_EQ(sim.n(), 25);  // horizon-edge event applied
-}
-
-TEST(EdgeCases, MinimalDerandomisedPopulation) {
-  const WeightMap weights({1.0});
-  // Two agents, colour 0, weight 1: shades in {0, 1}; behaves like the
-  // randomized w = 1 case (deterministic fade).
-  auto sim = divpp::core::DerandomisedCountSimulation::top_start(
-      weights, std::vector<std::int64_t>{2});
-  Xoshiro256 gen(6);
-  for (int i = 0; i < 2000; ++i) {
-    (void)sim.step(gen);
-    ASSERT_EQ(sim.support(0), 2);
-    ASSERT_GE(sim.positive(0), 1);
-  }
-}
-
-TEST(EdgeCases, WeightOneDerandomisedMatchesRandomizedChain) {
-  // With every w_i = 1 the two protocols coincide exactly (the fade coin
-  // is deterministic).  Compare the full distribution coarsely: mean and
-  // stddev of colour-0 support at a fixed time over replicas.
-  const WeightMap weights({1.0, 1.0});
-  constexpr std::int64_t kT = 2000;
-  constexpr int kReplicas = 200;
-  divpp::stats::OnlineStats randomized;
-  divpp::stats::OnlineStats derandomised;
-  for (int r = 0; r < kReplicas; ++r) {
-    Xoshiro256 g1(1000 + static_cast<std::uint64_t>(r));
-    CountSimulation a(weights, {16, 16}, {0, 0});
-    a.advance_with(Engine::kStep, kT, g1);
-    randomized.add(static_cast<double>(a.support(0)));
-    Xoshiro256 g2(3000 + static_cast<std::uint64_t>(r));
-    auto b = divpp::core::DerandomisedCountSimulation::top_start(
-        weights, std::vector<std::int64_t>{16, 16});
-    b.run_to(kT, g2);
-    derandomised.add(static_cast<double>(b.support(0)));
-  }
-  const double se = std::sqrt(randomized.variance() / kReplicas +
-                              derandomised.variance() / kReplicas);
-  EXPECT_NEAR(randomized.mean(), derandomised.mean(), 3.5 * se + 1e-9);
 }
 
 TEST(EdgeCases, AllLightPopulationIsAbsorbing) {

@@ -1,10 +1,8 @@
 // Tests for the extension modules: new topologies (hypercube, grid,
-// bipartite, barbell), the Moran and SIS baseline processes, and the
-// shock-recovery analysis helper.
+// bipartite, barbell) and the shock-recovery analysis helper.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -12,22 +10,13 @@
 #include "adversary/events.h"
 #include "analysis/robustness.h"
 #include "core/count_simulation.h"
-#include "core/population.h"
 #include "graph/topologies.h"
-#include "protocols/moran.h"
-#include "protocols/opinion.h"
-#include "protocols/sis.h"
 #include "rng/xoshiro.h"
 
 namespace {
 
-using divpp::core::AgentState;
-using divpp::core::kDark;
-using divpp::core::Population;
-using divpp::core::Transition;
 using divpp::core::WeightMap;
 using divpp::graph::AdjacencyGraph;
-using divpp::graph::CompleteGraph;
 using divpp::rng::Xoshiro256;
 
 // ---- new topologies ---------------------------------------------------
@@ -106,142 +95,6 @@ TEST(RandomRegular, RepairHandlesLargerDegrees) {
       ASSERT_EQ(unique.count(u), 0u);
     }
   }
-}
-
-// ---- Moran process ------------------------------------------------------
-
-TEST(Moran, UniformFitnessEqualsVoterRule) {
-  divpp::protocols::MoranRule rule(std::vector<double>{1.0, 1.0});
-  Xoshiro256 gen(3);
-  AgentState me{0, kDark};
-  // With equal fitness the acceptance is always 1: adopt every time.
-  for (int i = 0; i < 100; ++i) {
-    me.color = 0;
-    EXPECT_EQ(rule.apply(me, AgentState{1, kDark}, gen), Transition::kAdopt);
-  }
-}
-
-TEST(Moran, FitnessBiasesAdoption) {
-  divpp::protocols::MoranRule rule(std::vector<double>{1.0, 0.25});
-  Xoshiro256 gen(4);
-  int adopted = 0;
-  constexpr int kTrials = 100'000;
-  for (int i = 0; i < kTrials; ++i) {
-    AgentState me{0, kDark};
-    if (rule.apply(me, AgentState{1, kDark}, gen) == Transition::kAdopt)
-      ++adopted;
-  }
-  EXPECT_NEAR(static_cast<double>(adopted) / kTrials, 0.25, 0.01);
-}
-
-TEST(Moran, Validation) {
-  EXPECT_THROW(divpp::protocols::MoranRule({}), std::invalid_argument);
-  EXPECT_THROW(divpp::protocols::MoranRule({1.0, 0.0}),
-               std::invalid_argument);
-  divpp::protocols::MoranRule rule(std::vector<double>{1.0});
-  Xoshiro256 gen(5);
-  AgentState me{0, kDark};
-  EXPECT_THROW((void)rule.apply(me, AgentState{3, kDark}, gen),
-               std::invalid_argument);
-}
-
-TEST(Moran, FixationProbabilityClosedForm) {
-  // Neutral: 1/n.
-  EXPECT_NEAR(divpp::protocols::MoranRule::fixation_probability(1.0, 50),
-              0.02, 1e-12);
-  // Advantageous: ~1 − 1/r for large n.
-  EXPECT_NEAR(divpp::protocols::MoranRule::fixation_probability(2.0, 1000),
-              0.5, 1e-6);
-  // Deleterious mutants almost never fix.
-  EXPECT_LT(divpp::protocols::MoranRule::fixation_probability(0.5, 100),
-            1e-20);
-  EXPECT_THROW(
-      (void)divpp::protocols::MoranRule::fixation_probability(0.0, 10),
-      std::invalid_argument);
-}
-
-TEST(Moran, FitterColourUsuallyWins) {
-  // Start 50/50; colour 0 has double fitness: it should win most races.
-  const CompleteGraph graph(60);
-  int wins = 0;
-  for (int race = 0; race < 30; ++race) {
-    Population<AgentState, divpp::protocols::MoranRule> pop(
-        graph,
-        divpp::protocols::opinion_initial(std::vector<std::int64_t>{30, 30}),
-        divpp::protocols::MoranRule(std::vector<double>{2.0, 1.0}));
-    Xoshiro256 gen(600 + static_cast<std::uint64_t>(race));
-    (void)divpp::protocols::run_until_consensus(pop, 4'000'000, gen);
-    if (pop.state(0).color == 0) ++wins;
-  }
-  EXPECT_GE(wins, 22);  // strongly biased towards the fit colour
-}
-
-// ---- SIS contact process -------------------------------------------------
-
-TEST(Sis, Validation) {
-  EXPECT_THROW(divpp::protocols::SisRule(-0.1, 0.5), std::invalid_argument);
-  EXPECT_THROW(divpp::protocols::SisRule(0.5, 1.5), std::invalid_argument);
-  const divpp::protocols::SisRule rule(0.8, 0.2);
-  EXPECT_NEAR(rule.endemic_prevalence(), 0.75, 1e-12);
-  EXPECT_EQ(divpp::protocols::SisRule(0.1, 0.5).endemic_prevalence(), 0.0);
-}
-
-TEST(Sis, RuleSemantics) {
-  const divpp::protocols::SisRule always(1.0, 0.0);
-  Xoshiro256 gen(6);
-  AgentState s{divpp::protocols::kSusceptible, kDark};
-  // Susceptible + infected neighbour, infection prob 1: infect.
-  EXPECT_EQ(always.apply(s, AgentState{divpp::protocols::kInfected, kDark},
-                         gen),
-            Transition::kAdopt);
-  EXPECT_EQ(s.color, divpp::protocols::kInfected);
-  // Infected with recovery 0 stays infected.
-  EXPECT_EQ(always.apply(s, AgentState{divpp::protocols::kInfected, kDark},
-                         gen),
-            Transition::kNoOp);
-  // Recovery prob 1: recovers immediately when scheduled.
-  const divpp::protocols::SisRule heal(0.0, 1.0);
-  EXPECT_EQ(heal.apply(s, AgentState{divpp::protocols::kSusceptible, kDark},
-                       gen),
-            Transition::kFade);
-  EXPECT_EQ(s.color, divpp::protocols::kSusceptible);
-}
-
-TEST(Sis, SupercriticalEpidemicReachesEndemicPlateau) {
-  const CompleteGraph graph(800);
-  const divpp::protocols::SisRule rule(0.8, 0.2);  // x* = 0.75
-  std::vector<AgentState> init(800, AgentState{divpp::protocols::kSusceptible,
-                                               kDark});
-  for (std::size_t i = 0; i < 80; ++i)
-    init[i].color = divpp::protocols::kInfected;
-  Population<AgentState, divpp::protocols::SisRule> pop(graph, init, rule);
-  Xoshiro256 gen(7);
-  pop.run(200'000, gen);
-  std::int64_t infected = 0;
-  for (const AgentState& s : pop.states()) {
-    if (s.color == divpp::protocols::kInfected) ++infected;
-  }
-  EXPECT_NEAR(static_cast<double>(infected) / 800.0,
-              rule.endemic_prevalence(), 0.08);
-}
-
-TEST(Sis, SubcriticalEpidemicDiesOut) {
-  const CompleteGraph graph(400);
-  const divpp::protocols::SisRule rule(0.1, 0.4);  // below threshold
-  std::vector<AgentState> init(400, AgentState{divpp::protocols::kSusceptible,
-                                               kDark});
-  for (std::size_t i = 0; i < 40; ++i)
-    init[i].color = divpp::protocols::kInfected;
-  Population<AgentState, divpp::protocols::SisRule> pop(graph, init, rule);
-  Xoshiro256 gen(8);
-  pop.run(300'000, gen);
-  std::int64_t infected = 0;
-  for (const AgentState& s : pop.states()) {
-    if (s.color == divpp::protocols::kInfected) ++infected;
-  }
-  // Extinction — the epidemic "colour" vanished, the behaviour
-  // sustainability explicitly rules out for Diversification.
-  EXPECT_EQ(infected, 0);
 }
 
 // ---- recovery analysis ----------------------------------------------------

@@ -1,17 +1,14 @@
 // Tests for the §1.1 baseline protocols: Voter, 2-Choices, 3-Majority,
-// Anti-Voter, averaging processes, and the "trivial" global-sampling
-// strawman.
+// Anti-Voter, and the "trivial" global-sampling strawman.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/population.h"
 #include "graph/topologies.h"
 #include "protocols/anti_voter.h"
-#include "protocols/averaging.h"
 #include "protocols/global_sampling.h"
 #include "protocols/opinion.h"
 #include "protocols/three_majority.h"
@@ -113,34 +110,6 @@ TEST(GlobalSamplingRule, SamplesFrozenDistribution) {
   EXPECT_NEAR(static_cast<double>(hits[1]) / kTrials, 0.75, 0.01);
 }
 
-TEST(AveragingRule, BothEndpointsMoveToMean) {
-  divpp::protocols::AveragingRule rule;
-  Xoshiro256 gen(7);
-  double a = 2.0;
-  double b = 6.0;
-  EXPECT_EQ(rule.apply(a, b, gen), Transition::kAdopt);
-  EXPECT_EQ(a, 4.0);
-  EXPECT_EQ(b, 4.0);
-  EXPECT_EQ(rule.apply(a, b, gen), Transition::kNoOp);
-}
-
-TEST(NoisyAveragingRule, NoiseBoundedByParameter) {
-  divpp::protocols::NoisyAveragingRule rule(0.5);
-  Xoshiro256 gen(8);
-  for (int i = 0; i < 1000; ++i) {
-    double a = 1.0;
-    double b = 3.0;
-    (void)rule.apply(a, b, gen);
-    // a ← (1 + (3 ± 0.5))/2 ∈ [1.75, 2.25]; symmetric for b.
-    EXPECT_GE(a, 1.75 - 1e-12);
-    EXPECT_LE(a, 2.25 + 1e-12);
-    EXPECT_GE(b, 1.75 - 1e-12);
-    EXPECT_LE(b, 2.25 + 1e-12);
-  }
-  EXPECT_THROW(divpp::protocols::NoisyAveragingRule(-0.1),
-               std::invalid_argument);
-}
-
 // ---- opinion helpers ------------------------------------------------------
 
 TEST(OpinionHelpers, SurvivingColorsAndConsensus) {
@@ -208,19 +177,6 @@ TEST(AntiVoterDynamics, KeepsBothColoursAlive) {
     pop.run(10'000, gen);
     ASSERT_EQ(divpp::protocols::surviving_colors(pop.states(), 2), 2);
   }
-}
-
-TEST(AveragingDynamics, DiscrepancyShrinksAndMeanConserved) {
-  const CompleteGraph g(64);
-  std::vector<double> init(64, 0.0);
-  for (std::size_t i = 0; i < 32; ++i) init[i] = 1.0;
-  Population<double, divpp::protocols::AveragingRule> pop(
-      g, init, divpp::protocols::AveragingRule{});
-  const double mean_before = divpp::protocols::value_mean(pop.states());
-  Xoshiro256 gen(13);
-  pop.run(100'000, gen);
-  EXPECT_NEAR(divpp::protocols::value_mean(pop.states()), mean_before, 1e-9);
-  EXPECT_LT(divpp::protocols::discrepancy(pop.states()), 0.01);
 }
 
 TEST(GlobalSamplingDynamics, HitsTargetButIgnoresNewColours) {
